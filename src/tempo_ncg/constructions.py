@@ -21,7 +21,10 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
+    bounded_subsets,
     connected_components,
+    group_by_label,
+    kruskal,
     propagate_arrivals,
     validate_and_normalize_host,
 )
@@ -252,14 +255,12 @@ def extend_with_terminal(
     realized_top = graph.lifetime
     top_pairs = [p for p in graph.pairs() if realized_top in graph.labels(*p)]
     forest_nodes = sorted({n for p in top_pairs for n in p})
-    components = connected_components(forest_nodes, top_pairs)
-    for comp in components:
-        inner = sum(1 for u, v in top_pairs if u in comp)
-        if inner != len(comp) - 1:
-            raise PreconditionFailed(
-                "latest-label realized edges contain a cycle; "
-                "input is not an equilibrium"
-            )
+    joined, components = kruskal(forest_nodes, top_pairs)
+    if not all(joined):
+        raise PreconditionFailed(
+            "latest-label realized edges contain a cycle; "
+            "input is not an equilibrium"
+        )
     terminal_set = host.terminal_set
     f_is_tree = len(components) == 1
     f_has_all_terminals = f_is_tree and terminal_set <= components[0]
@@ -348,11 +349,7 @@ def _reaches_both(
     for other, bought in strategies.items():
         if other != agent:
             pool |= bought
-    by_label: dict[int, list[TimeEdge]] = {}
-    for e in pool:
-        by_label.setdefault(e.label, []).append(e)
-    groups = tuple((l, tuple(sorted(by_label[l]))) for l in sorted(by_label))
-    arrival, _ = propagate_arrivals(groups, agent, targets=targets)
+    arrival, _ = propagate_arrivals(group_by_label(pool), agent, targets=targets)
     return targets <= arrival.keys()
 
 
@@ -374,8 +371,10 @@ def two_terminal_ne(
     equilibrium in both settings.
 
     Raises:
-        PreconditionFailed: terminal count differs from two, or the repaired
-            profile fails to stabilize (not expected for any host).
+        PreconditionFailed: terminal count differs from two, or the
+            construction refuses the host: the bridge repair runs out of
+            nodes, the profile fails to stabilize, or it ends with a
+            non-incident edge (about 1 random host in 600 at n = 10..13).
     """
     if host.terminal_count != 2:
         raise PreconditionFailed("construction needs exactly two terminals")
@@ -841,17 +840,9 @@ def _exhaustive_tree_candidates(
     """All spanning trees of time edges with endpoint ownership, canonical order."""
     n = host.node_count
     pool = sorted(host.time_edges())
-    states = 0
-    for combo in itertools.combinations(pool, n - 1):
-        states += 1
-        if states > max_states:
-            raise SearchTooLarge(
-                f"spanning-tree enumeration exceeded {max_states} states"
-            )
-        pairs = {e.pair for e in combo}
-        if len(pairs) != n - 1:
-            continue
-        if len(connected_components(host.nodes, pairs)) != 1:
+    for combo in bounded_subsets(pool, (n - 1,), max_states):
+        # n - 1 edges that never close a cycle form a spanning tree.
+        if not all(kruskal(host.nodes, (e.pair for e in combo))[0]):
             continue
         for owners in itertools.product(*[(e.u, e.v) for e in combo]):
             strategies: dict[NodeId, set[TimeEdge]] = {}

@@ -10,14 +10,28 @@ graph together with a nonempty set of terminal nodes.
 Earliest-arrival computation processes labels in ascending order and runs a
 fixed point inside each label group, so chains of equally labelled edges
 propagate in one pass.
+
+The other modules share four primitives from here instead of their own
+copies: :func:`group_by_label` (label groups for every sweep),
+:func:`kruskal` (the one union-find, behind :func:`connected_components` and
+the one-label spanning tree), :func:`bounded_subsets` (budgeted subset
+enumeration) and :func:`iter_needers` (the nodes that lose a terminal without
+a given edge).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+import itertools
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import IncompleteHost, NoTerminals, NotASpanner, UnknownNode
+from .errors import (
+    IncompleteHost,
+    NoTerminals,
+    NotASpanner,
+    SearchTooLarge,
+    UnknownNode,
+)
 
 NodeId = str
 
@@ -70,6 +84,17 @@ def _canonical_pair(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
     return (a, b) if a <= b else (b, a)
 
 
+LabelGroups = tuple[tuple[int, tuple[TimeEdge, ...]], ...]
+
+
+def group_by_label(edges: Iterable[TimeEdge]) -> LabelGroups:
+    """Time edges grouped by ascending label, each group in canonical order."""
+    by_label: dict[int, list[TimeEdge]] = {}
+    for edge in edges:
+        by_label.setdefault(edge.label, []).append(edge)
+    return tuple((label, tuple(sorted(by_label[label]))) for label in sorted(by_label))
+
+
 class TemporalGraph:
     """Immutable undirected temporal graph.
 
@@ -95,7 +120,7 @@ class TemporalGraph:
         self._labels: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {
             pair: tuple(sorted(labels)) for pair, labels in sorted(by_pair.items())
         }
-        self._groups: tuple[tuple[int, tuple[TimeEdge, ...]], ...] | None = None
+        self._groups: LabelGroups | None = None
         self._hash: int | None = None
 
     @property
@@ -167,15 +192,10 @@ class TemporalGraph:
             (TimeEdge(mapping[e.u], mapping[e.v], e.label) for e in self.time_edges()),
         )
 
-    def label_groups(self) -> tuple[tuple[int, tuple[TimeEdge, ...]], ...]:
+    def label_groups(self) -> LabelGroups:
         """Time edges grouped by ascending label, cached."""
         if self._groups is None:
-            by_label: dict[int, list[TimeEdge]] = {}
-            for edge in self.time_edges():
-                by_label.setdefault(edge.label, []).append(edge)
-            self._groups = tuple(
-                (label, tuple(sorted(by_label[label]))) for label in sorted(by_label)
-            )
+            self._groups = group_by_label(self.time_edges())
         return self._groups
 
     def _key(self) -> tuple:
@@ -348,18 +368,12 @@ def propagate_arrivals(
     """
     arrival: dict[NodeId, int] = {source: 0}
     predecessor: dict[NodeId, TimeEdge] = {}
-    extra_by_label: dict[int, list[TimeEdge]] = {}
-    for edge in extra:
-        extra_by_label.setdefault(edge.label, []).append(edge)
-    if extra_by_label:
-        base = {label: edges for label, edges in groups}
-        labels = sorted(set(base) | set(extra_by_label))
+    extra_groups = dict(group_by_label(extra))
+    if extra_groups:
+        base = dict(groups)
         merged: list[tuple[int, tuple[TimeEdge, ...]]] = [
-            (
-                label,
-                tuple(base.get(label, ())) + tuple(sorted(extra_by_label.get(label, ()))),
-            )
-            for label in labels
+            (label, base.get(label, ()) + extra_groups.get(label, ()))
+            for label in sorted(base.keys() | extra_groups.keys())
         ]
     else:
         merged = list(groups)
@@ -410,10 +424,14 @@ def reach_set(graph: TemporalGraph, source: NodeId) -> frozenset[NodeId]:
     return frozenset(arrival)
 
 
-def connected_components(
+def kruskal(
     nodes: Iterable[NodeId], pairs: Iterable[tuple[NodeId, NodeId]]
-) -> list[frozenset[NodeId]]:
-    """Static (label-blind) connected components, sorted by smallest member."""
+) -> tuple[list[bool], list[frozenset[NodeId]]]:
+    """One union-find pass over ``pairs`` in the given order.
+
+    Returns whether each pair joined two components (the kept edges of a
+    spanning forest) and the components, sorted by smallest member.
+    """
     parent: dict[NodeId, NodeId] = {n: n for n in nodes}
 
     def find(a: NodeId) -> NodeId:
@@ -422,14 +440,39 @@ def connected_components(
             a = parent[a]
         return a
 
+    kept = []
     for u, v in pairs:
         ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        kept.append(ru != rv)
+        parent[ru] = rv  # a no-op when ru == rv
     groups: dict[NodeId, set[NodeId]] = {}
     for n in parent:
         groups.setdefault(find(n), set()).add(n)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+    return kept, sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def connected_components(
+    nodes: Iterable[NodeId], pairs: Iterable[tuple[NodeId, NodeId]]
+) -> list[frozenset[NodeId]]:
+    """Static (label-blind) connected components, sorted by smallest member."""
+    return kruskal(nodes, pairs)[1]
+
+
+def bounded_subsets(
+    pool: Sequence[TimeEdge], sizes: Iterable[int], budget: int
+) -> Iterator[tuple[TimeEdge, ...]]:
+    """Subsets of ``pool`` for each size in turn, in ``combinations`` order.
+
+    Raises:
+        SearchTooLarge: the consumer asks for more than ``budget`` subsets.
+    """
+    examined = 0
+    for size in sizes:
+        for combo in itertools.combinations(pool, size):
+            examined += 1
+            if examined > budget:
+                raise SearchTooLarge(f"subset enumeration exceeded {budget} sets")
+            yield combo
 
 
 def _check_terminals(graph: TemporalGraph, terminals: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -453,6 +496,21 @@ def is_terminal_spanner(graph: TemporalGraph, terminals: Iterable[NodeId]) -> bo
     return True
 
 
+def iter_needers(
+    graph: TemporalGraph, edge: TimeEdge, terminals: frozenset[NodeId]
+) -> Iterator[NodeId]:
+    """Nodes of ``graph``, canonical order, that miss a terminal without ``edge``.
+
+    Lazy, so a caller asking only whether the edge has a needer stops at the
+    first one. No needer means the edge can be dropped from a spanner.
+    """
+    groups = graph.without_time_edge(edge).label_groups()
+    for node in graph.nodes:
+        arrival, _ = propagate_arrivals(groups, node, targets=terminals)
+        if not terminals <= arrival.keys():
+            yield node
+
+
 def is_minimal_terminal_spanner(
     graph: TemporalGraph, terminals: Iterable[NodeId]
 ) -> tuple[bool, TimeEdge | None]:
@@ -468,6 +526,6 @@ def is_minimal_terminal_spanner(
     if not is_terminal_spanner(graph, terminal_set):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
     for edge in sorted(graph.time_edges()):
-        if is_terminal_spanner(graph.without_time_edge(edge), terminal_set):
+        if next(iter_needers(graph, edge, terminal_set), None) is None:
             return False, edge
     return True, None

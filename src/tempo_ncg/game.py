@@ -34,6 +34,7 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
+    group_by_label,
     propagate_arrivals,
 )
 from .errors import (
@@ -328,12 +329,7 @@ def find_improving_response(
     for agent, edges in s.strategies.items():
         if agent != v:
             others |= edges
-    base: dict[int, list[TimeEdge]] = {}
-    for edge in others:
-        base.setdefault(edge.label, []).append(edge)
-    groups = tuple(
-        (label, tuple(sorted(base[label]))) for label in sorted(base)
-    )
+    groups = group_by_label(others)
     k = host.terminal_count
     current_unreached = _unreached_count(groups, v, host, extra=own)
     current = CostBreakdown(current_unreached, e0)
@@ -345,16 +341,9 @@ def find_improving_response(
         return SearchOutcome(response=None, exact=True, states_examined=0)
 
     candidates = _setting_candidates(host, v, s.setting, frozenset(others))
-    terminal_set = host.terminal_set
     examined = 0
     exhausted = False
-
-    def cost_of(extra: tuple[TimeEdge, ...]) -> CostBreakdown:
-        arrival, _ = propagate_arrivals(groups, v, extra=extra, targets=terminal_set)
-        unreached = sum(1 for t in host.terminals if t not in arrival)
-        return CostBreakdown(unreached, len(extra))
-
-    if cost_of(()) < current:
+    if CostBreakdown(_unreached_count(groups, v, host), 0) < current:
         return SearchOutcome(response=frozenset(), exact=True, states_examined=1)
 
     for r in range(1, r_max + 1):
@@ -502,10 +491,7 @@ def greedy_improving_response(
     s.validate(host)
     own = s.strategy(v)
     realized = s.bought_edges()
-    base: dict[int, list[TimeEdge]] = {}
-    for edge in realized:
-        base.setdefault(edge.label, []).append(edge)
-    groups = tuple((label, tuple(sorted(base[label]))) for label in sorted(base))
+    groups = group_by_label(realized)
     current_unreached = _unreached_count(groups, v, host)
     if current_unreached > 0:
         for edge in _setting_candidates(host, v, s.setting, frozenset(realized)):
@@ -515,13 +501,7 @@ def greedy_improving_response(
     for agent, edges in s.strategies.items():
         if agent != v:
             others |= edges
-    other_groups_base: dict[int, list[TimeEdge]] = {}
-    for edge in others:
-        other_groups_base.setdefault(edge.label, []).append(edge)
-    other_groups = tuple(
-        (label, tuple(sorted(other_groups_base[label])))
-        for label in sorted(other_groups_base)
-    )
+    other_groups = group_by_label(others)
     for edge in sorted(own):
         remaining = tuple(e for e in sorted(own) if e != edge)
         if (

@@ -86,7 +86,7 @@ def instance_from_dict(data: dict) -> InstanceFile:
     """Parse and validate the canonical dict form.
 
     Raises:
-        ValueError: unknown schema version, malformed keys, or bad ids.
+        ValueError: unknown schema version, malformed keys or types, bad ids.
         IncompleteHost: a node pair has no labels and no default applies.
     """
     if not isinstance(data, dict) or data.get("v") != SCHEMA_VERSION:
@@ -102,6 +102,8 @@ def instance_from_dict(data: dict) -> InstanceFile:
     terminals = host_data.get("terminals")
     if not isinstance(nodes, list) or not isinstance(terminals, list):
         raise ValueError("host needs node and terminal lists")
+    if not all(isinstance(node, str) for node in nodes + terminals):
+        raise ValueError("node and terminal ids must be strings")
     default_label = host_data.get("default_label")
     if default_label is not None and (
         not isinstance(default_label, int) or default_label < 1
@@ -148,11 +150,15 @@ def instance_from_dict(data: dict) -> InstanceFile:
             raise ValueError("profile strategies must map agents to edge lists")
         strategies: dict[NodeId, frozenset[TimeEdge]] = {}
         for agent, triples in raw_strategies.items():
+            if not isinstance(triples, list):
+                raise ValueError(f"strategy of {agent!r} is not a list of edges")
             bought = set()
             for triple in triples:
                 if not isinstance(triple, list) or len(triple) != 3:
                     raise ValueError(f"strategy edge {triple!r} is not [u, v, label]")
                 u, v, label = triple
+                if not isinstance(u, str) or not isinstance(v, str):
+                    raise ValueError(f"strategy edge {triple!r} needs string endpoints")
                 bought.add(TimeEdge(u, v, label))
             strategies[agent] = frozenset(bought)
         profile = StrategyProfile(setting=setting, strategies=strategies)

@@ -28,6 +28,8 @@ from .game import (
 )
 from .spanner_opt import SpannerSearchConfig, min_terminal_spanner, prune_to_minimal
 
+PRUNE_EDGE_LIMIT = 300
+
 CSV_COLUMNS = (
     "name",
     "n",
@@ -77,14 +79,12 @@ class PoARecord:
 
 
 def compute_optimum(
-    host: HostGraph,
-    config: SpannerSearchConfig | None = None,
-    prune_edge_limit: int = 300,
+    host: HostGraph, config: SpannerSearchConfig | None = None
 ) -> tuple[int, bool, int]:
     """(optimum or best upper bound, exact flag, lower bound).
 
     Falls back to pruning the full host to an inclusion-minimal spanner when
-    the exact search refuses; above ``prune_edge_limit`` host edges even that
+    the exact search refuses; above ``PRUNE_EDGE_LIMIT`` host edges even that
     is skipped and the host's own edge count serves as the (weak) bound.
     """
     lower = max(host.node_count - 1, 0)
@@ -93,7 +93,7 @@ def compute_optimum(
         return exact, True, exact
     except SearchTooLarge:
         pass
-    if host.time_edge_count <= prune_edge_limit:
+    if host.time_edge_count <= PRUNE_EDGE_LIMIT:
         upper = prune_to_minimal(host.graph, host.terminals).time_edge_count
     else:
         upper = host.time_edge_count

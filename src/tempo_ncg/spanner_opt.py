@@ -21,10 +21,11 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
+    bounded_subsets,
     connected_components,
-    is_minimal_terminal_spanner,
     is_terminal_spanner,
-    propagate_arrivals,
+    iter_needers,
+    kruskal,
 )
 from .errors import NotASpanner, NotMinimal, SearchTooLarge
 from .game import Setting, StrategyProfile
@@ -52,27 +53,14 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
     Such a tree is a terminal spanner with exactly n - 1 time edges (within
     one label group every node reaches every other), meeting the universal
     lower bound; its existence settles the optimum without enumeration. Scans
-    labels ascending and builds the canonical tree greedily.
+    labels ascending with one Kruskal pass per label group, which keeps n - 1
+    edges (the canonical tree) exactly when the label connects V.
     """
-    for label, edges in host.graph.label_groups():
-        pairs = [e.pair for e in edges]
-        if len(connected_components(host.nodes, pairs)) != 1:
-            continue
-        parent: dict[NodeId, NodeId] = {n: n for n in host.nodes}
-
-        def find(a: NodeId) -> NodeId:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        kept: list[TimeEdge] = []
-        for edge in sorted(edges):
-            ru, rv = find(edge.u), find(edge.v)
-            if ru != rv:
-                parent[ru] = rv
-                kept.append(edge)
-        return TemporalGraph(host.nodes, kept)
+    for _, edges in host.graph.label_groups():
+        joined, _ = kruskal(host.nodes, (e.pair for e in edges))
+        kept = list(itertools.compress(edges, joined))
+        if len(kept) == host.node_count - 1:
+            return TemporalGraph(host.nodes, kept)
     return None
 
 
@@ -94,9 +82,6 @@ def min_terminal_spanner(
     """
     if config is None:
         config = SpannerSearchConfig()
-    n = host.node_count
-    if n == 1:
-        return TemporalGraph(host.nodes)
     tree = mono_label_spanning_tree(host)
     if tree is not None:
         return tree
@@ -106,42 +91,38 @@ def min_terminal_spanner(
             f"{len(pool)} candidate edges exceed the budget of "
             f"{config.max_candidate_edges}"
         )
-    examined = 0
-    terminals = host.terminals
-    for size in range(n - 1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            examined += 1
-            if examined > config.max_subsets:
-                raise SearchTooLarge(
-                    f"subset enumeration exceeded {config.max_subsets} sets"
-                )
-            if len(connected_components(host.nodes, {e.pair for e in combo})) != 1:
-                continue
-            candidate = TemporalGraph(host.nodes, combo)
-            if is_terminal_spanner(candidate, terminals):
-                return candidate
+    sizes = range(host.node_count - 1, len(pool) + 1)
+    for combo in bounded_subsets(pool, sizes, config.max_subsets):
+        if len(connected_components(host.nodes, {e.pair for e in combo})) != 1:
+            continue
+        candidate = TemporalGraph(host.nodes, combo)
+        if is_terminal_spanner(candidate, host.terminals):
+            return candidate
     raise AssertionError("internal error: a complete host is its own spanner")
 
 
 def prune_to_minimal(
     graph: TemporalGraph, terminals: Iterable[NodeId]
 ) -> TemporalGraph:
-    """Drop removable time edges (canonical witness first) until none remain.
+    """Drop removable time edges in one pass over the canonical edge order.
 
-    The result is an inclusion-minimal terminal spanner; already-minimal
-    inputs come back unchanged.
+    An edge is dropped when no node needs it in the graph pruned so far. The
+    result is an inclusion-minimal terminal spanner (minimal inputs come back
+    unchanged), the same one as from dropping the first removable edge and
+    rescanning until none is left: removal only shrinks reachability, so an
+    edge found needed stays needed in every smaller spanner.
 
     Raises:
         NotASpanner: input does not reach every terminal from every node.
     """
-    terminal_tuple = tuple(terminals)
+    terminal_set = frozenset(terminals)
+    if not is_terminal_spanner(graph, terminal_set):
+        raise NotASpanner("input graph does not reach all terminals from all nodes")
     current = graph
-    while True:
-        minimal, witness = is_minimal_terminal_spanner(current, terminal_tuple)
-        if minimal:
-            return current
-        assert witness is not None
-        current = current.without_time_edge(witness)
+    for edge in sorted(graph.time_edges()):
+        if next(iter_needers(current, edge, terminal_set), None) is None:
+            current = current.without_time_edge(edge)
+    return current
 
 
 def ge_from_minimal_spanner(
@@ -160,19 +141,12 @@ def ge_from_minimal_spanner(
         NotMinimal: some edge has no needer, i.e. the spanner is not
             inclusion-minimal.
     """
-    terminals = host.terminals
-    if not is_terminal_spanner(graph, terminals):
-        raise NotASpanner("input graph does not reach all terminals from all nodes")
     terminal_set = host.terminal_set
+    if not is_terminal_spanner(graph, terminal_set):
+        raise NotASpanner("input graph does not reach all terminals from all nodes")
     strategies: dict[NodeId, set[TimeEdge]] = {}
     for edge in sorted(graph.time_edges()):
-        reduced_groups = graph.without_time_edge(edge).label_groups()
-        needer = None
-        for v in host.nodes:
-            arrival, _ = propagate_arrivals(reduced_groups, v, targets=terminal_set)
-            if any(t not in arrival for t in terminals):
-                needer = v
-                break
+        needer = next(iter_needers(graph, edge, terminal_set), None)
         if needer is None:
             raise NotMinimal(
                 f"{edge} is removable, so the spanner is not inclusion-minimal"

@@ -21,8 +21,9 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
+    bounded_subsets,
     is_terminal_spanner,
-    propagate_arrivals,
+    iter_needers,
 )
 from .errors import InvalidPurchase, SearchTooLarge
 from .game import Setting, StrategyProfile, Verdict, is_nash_equilibrium
@@ -49,18 +50,14 @@ class SweepResult:
 def edge_needers(
     target: TemporalGraph, host: HostGraph
 ) -> dict[TimeEdge, tuple[NodeId, ...]]:
-    """For each target edge, the nodes that lose a terminal when it is gone."""
-    needers: dict[TimeEdge, tuple[NodeId, ...]] = {}
-    terminal_set = host.terminal_set
-    for edge in sorted(target.time_edges()):
-        reduced = target.without_time_edge(edge).label_groups()
-        losing = []
-        for v in host.nodes:
-            arrival, _ = propagate_arrivals(reduced, v, targets=terminal_set)
-            if any(t not in arrival for t in host.terminals):
-                losing.append(v)
-        needers[edge] = tuple(losing)
-    return needers
+    """For each target edge, the nodes that lose a terminal when it is gone.
+
+    ``target`` spans the host's nodes, as a realized graph does.
+    """
+    return {
+        edge: tuple(iter_needers(target, edge, host.terminal_set))
+        for edge in sorted(target.time_edges())
+    }
 
 
 def _profile_from_owners(
@@ -168,19 +165,12 @@ def find_nash_by_search(
         SearchTooLarge: the subset space exceeds ``max_subsets``.
     """
     pool = sorted(host.time_edges())
-    n = host.node_count
-    examined = 0
-    for size in range(max(n - 1, 0), len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            examined += 1
-            if examined > max_subsets:
-                raise SearchTooLarge(
-                    f"realized-graph enumeration exceeded {max_subsets} sets"
-                )
-            target = TemporalGraph(host.nodes, combo)
-            if not is_terminal_spanner(target, host.terminals):
-                continue
-            result = sweep_ownership(host, target, setting)
-            if result.equilibria:
-                return result.equilibria[0]
+    sizes = range(max(host.node_count - 1, 0), len(pool) + 1)
+    for combo in bounded_subsets(pool, sizes, max_subsets):
+        target = TemporalGraph(host.nodes, combo)
+        if not is_terminal_spanner(target, host.terminals):
+            continue
+        result = sweep_ownership(host, target, setting)
+        if result.equilibria:
+            return result.equilibria[0]
     return None

@@ -47,6 +47,63 @@ def oracle_is_spanner(graph, terminals):
     return all(want <= oracle_reach(graph, v) for v in graph.nodes)
 
 
+def oracle_prune_to_minimal(graph, terminals):
+    """Drop the canonically first removable edge, then rescan from the start."""
+    current = graph
+    while True:
+        for edge in sorted(current.time_edges()):
+            smaller = current.without_time_edge(edge)
+            if oracle_is_spanner(smaller, terminals):
+                current = smaller
+                break
+        else:
+            return current
+
+
+def oracle_edge_needers(target, host):
+    """Per target edge, the nodes that miss a terminal once it is removed."""
+    want = set(host.terminals)
+    return {
+        edge: tuple(
+            v
+            for v in host.nodes
+            if not want <= oracle_reach(target.without_time_edge(edge), v)
+        )
+        for edge in sorted(target.time_edges())
+    }
+
+
+def _static_reach(edges, source):
+    seen = {source}
+    stack = [source]
+    while stack:
+        at = stack.pop()
+        for edge in edges:
+            if edge.touches(at) and edge.other(at) not in seen:
+                seen.add(edge.other(at))
+                stack.append(edge.other(at))
+    return seen
+
+
+def oracle_mono_label_tree(host):
+    """First label class that connects every node, with its greedy tree.
+
+    Connectivity comes from graph search, not union-find: the tree keeps each
+    edge of the class, in canonical order, whose endpoints the edges kept so
+    far do not already join. None when no label class connects the nodes.
+    """
+    for label in sorted({e.label for e in host.time_edges()}):
+        edges = sorted(e for e in host.time_edges() if e.label == label)
+        if _static_reach(edges, host.nodes[0]) != set(host.nodes):
+            continue
+        kept = []
+        for edge in edges:
+            if edge.v not in _static_reach(kept, edge.u):
+                kept.append(edge)
+        return TemporalGraph(host.nodes, kept)
+    return None
+
+
 def realized(profile, host):
     union = set()
     for edges in profile.strategies.values():

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from tempo_ncg import (
     InstanceFile,
     StrategyProfile,
+    dumps_instance,
     loads_instance,
     save_instance,
 )
@@ -181,6 +182,17 @@ def test_verify_csv_format(runner, tmp_path):
 def test_verify_missing_file_exits_2(runner):
     result = invoke(runner, "verify", "no-such-file.json")
     assert result.exit_code == 2
+
+
+def test_verify_malformed_file_exits_2(runner, tmp_path):
+    # Exit 1 means "refuted", so bad input must not end there.
+    data = json.loads(dumps_instance(get_fixture("fig4")))
+    data["profile"]["strategies"]["v1"] = [[1, "v4", 2]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = invoke(runner, "verify", str(path))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
 
 
 # -- sweep --------------------------------------------------------------------

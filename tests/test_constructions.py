@@ -233,6 +233,25 @@ def test_two_terminal_random_hosts():
             assert is_nash_equilibrium(s.with_setting(setting), host).is_equilibrium
 
 
+@pytest.mark.parametrize(
+    "n, seed, extra_label_prob, setting",
+    [
+        (10, 10485, 0.0, Setting.LOCAL),
+        (13, 430225714, 0.3, Setting.GLOBAL),
+    ],
+)
+def test_two_terminal_refuses_rather_than_return_an_unverified_profile(
+    n, seed, extra_label_prob, setting
+):
+    # Hosts on which the construction cannot finish.
+    host = random_host(n, 2, seed, extra_label_prob=extra_label_prob)
+    try:
+        s = two_terminal_ne(host, setting)
+    except PreconditionFailed:
+        return
+    assert is_nash_equilibrium(s, host).is_equilibrium
+
+
 def test_two_terminal_requires_two_terminals():
     host, _ = hypercube_equilibrium(2)
     with pytest.raises(PreconditionFailed):

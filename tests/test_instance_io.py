@@ -168,6 +168,27 @@ def test_rejects_bad_profile_payloads():
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("profile", "strategies", "v1"), [[1, "v4", 2]]),
+        (("host", "terminals", 0), ["x"]),
+        (("host", "nodes", 0), ["y"]),
+        (("profile", "strategies", "v1"), 5),
+    ],
+    ids=["strategy-endpoint", "terminal", "node", "strategy-value"],
+)
+def test_rejects_values_of_the_wrong_type(path, value):
+    data = instance_to_dict(get_fixture("fig4"))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError):
+        instance_from_dict(data)
+
+
 def test_rejects_empty_name_and_label_lists():
     with pytest.raises(ValueError):
         InstanceFile(name="", host=pair_instance().host)

@@ -13,11 +13,13 @@ from tempo_ncg import (
     compute_optimum,
     dense_cycle_instance,
     hypercube_equilibrium,
+    random_host,
     records_to_csv,
     records_to_json,
     scale_with_nonterminals,
 )
 from tempo_ncg.fixtures import fig4_instance
+from tempo_ncg.poa import PRUNE_EDGE_LIMIT
 
 
 def test_scaled_hypercube_record():
@@ -90,10 +92,12 @@ def test_compute_optimum_falls_back_to_pruning():
 
 
 def test_compute_optimum_degrades_to_host_size_above_prune_limit():
-    host = fig4_instance().host
-    config = SpannerSearchConfig(max_candidate_edges=3)
-    optimum, exact, lower = compute_optimum(host, config, prune_edge_limit=0)
-    assert (optimum, exact, lower) == (host.time_edge_count, False, 3)
+    # 325 single-label pairs: no label class spans, the exact search refuses
+    # the pool, and the host is too large to prune.
+    host = random_host(26, 2, 0)
+    assert host.time_edge_count > PRUNE_EDGE_LIMIT
+    optimum, exact, lower = compute_optimum(host)
+    assert (optimum, exact, lower) == (host.time_edge_count, False, 25)
 
 
 def test_csv_columns_and_name_order():

@@ -1,21 +1,31 @@
 """Invariants checked over randomized inputs."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_force_arrivals
+from oracles import (
+    brute_force_arrivals,
+    oracle_edge_needers,
+    oracle_mono_label_tree,
+    oracle_prune_to_minimal,
+)
 from tempo_ncg import (
     CostBreakdown,
     HostGraph,
+    PreconditionFailed,
     Setting,
     TemporalGraph,
     TimeEdge,
     Verdict,
     connected_components,
+    direct_terminal_profile,
     earliest_arrivals,
+    edge_needers,
     find_nash_by_search,
     graph_product,
     is_greedy_equilibrium,
     is_nash_equilibrium,
+    mono_label_spanning_tree,
+    prune_to_minimal,
     random_host,
     reach_set,
     two_terminal_ne,
@@ -151,3 +161,65 @@ def test_product_edge_identity_on_random_factors(seed1, seed2):
     m1 = s1.total_purchases()
     m2 = s2.total_purchases()
     assert product_profile.total_purchases() == 3 * m1 + 2 * m2
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts(max_n=4, max_label=3))
+def test_single_pass_prune_matches_the_rescan_oracle(host):
+    assert prune_to_minimal(host.graph, host.terminals) == oracle_prune_to_minimal(
+        host.graph, host.terminals
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts(max_n=5, max_label=3), st.data())
+def test_edge_needers_match_the_brute_force_oracle(host, data):
+    edges = sorted(host.time_edges())
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    target = TemporalGraph(host.nodes, [e for e, k in zip(edges, keep) if k])
+    assert edge_needers(target, host) == oracle_edge_needers(target, host)
+
+
+@given(hosts(max_n=5, max_label=2))
+def test_mono_label_tree_is_the_canonical_tree_of_a_spanning_label(host):
+    assert mono_label_spanning_tree(host) == oracle_mono_label_tree(host)
+
+
+@st.composite
+def verification_cases(draw):
+    """A small host with a direct-terminal, two-terminal or perturbed profile."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    kind = draw(st.sampled_from(["perturbed", "direct", "two-terminal"]))
+    k = 2 if kind == "two-terminal" else draw(st.integers(min_value=1, max_value=n))
+    host = random_host(n, k, draw(st.integers(0, 10_000)), max_label=3)
+    setting = draw(st.sampled_from(list(Setting)))
+    if kind == "two-terminal":
+        try:
+            return host, two_terminal_ne(host, setting)
+        except PreconditionFailed:
+            assume(False)
+    profile = direct_terminal_profile(host, setting)
+    if kind == "perturbed":
+        # One extra purchase: refuting it may need the budgeted search.
+        agent = draw(st.sampled_from(host.nodes))
+        own = profile.strategy(agent)
+        pool = sorted(
+            e
+            for e in host.time_edges()
+            if e not in own and (setting is Setting.GLOBAL or e.touches(agent))
+        )
+        assume(pool)
+        profile = profile.with_strategy(agent, own | {draw(st.sampled_from(pool))})
+    return host, profile
+
+
+@settings(max_examples=150, deadline=None)
+@given(verification_cases())
+def test_budget_only_ever_downgrades_the_verdict_to_inconclusive(case):
+    host, profile = case
+    exact = is_nash_equilibrium(profile, host)
+    # No single search examines more states than the whole exact check, so
+    # larger budgets change nothing.
+    for budget in range(exact.states_examined + 1):
+        verdict = is_nash_equilibrium(profile, host, budget=budget).verdict
+        assert verdict in (exact.verdict, Verdict.INCONCLUSIVE)
