@@ -839,7 +839,7 @@ def _exhaustive_tree_candidates(
 ) -> Iterator[StrategyProfile]:
     """All spanning trees of time edges with endpoint ownership, canonical order."""
     n = host.node_count
-    pool = sorted(host.time_edges())
+    pool = host.sorted_time_edges
     for combo in bounded_subsets(pool, (n - 1,), max_states):
         # n - 1 edges that never close a cycle form a spanning tree.
         if not all(kruskal(host.nodes, (e.pair for e in combo))[0]):

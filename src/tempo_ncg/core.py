@@ -9,7 +9,9 @@ graph together with a nonempty set of terminal nodes.
 
 Earliest-arrival computation processes labels in ascending order and runs a
 fixed point inside each label group, so chains of equally labelled edges
-propagate in one pass.
+propagate in one pass. :func:`label_reach_masks` is its backward twin: one
+sweep in descending label order answers "what does node x still reach when
+it leaves at label L or later" for every (node, label) at once.
 
 The other modules share four primitives from here instead of their own
 copies: :func:`group_by_label` (label groups for every sweep),
@@ -21,6 +23,7 @@ a given edge).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -251,9 +254,18 @@ class HostGraph:
     def terminal_count(self) -> int:
         return len(self.terminals)
 
-    @property
+    @functools.cached_property
     def terminal_set(self) -> frozenset[NodeId]:
         return frozenset(self.terminals)
+
+    @functools.cached_property
+    def sorted_time_edges(self) -> tuple[TimeEdge, ...]:
+        """All host time edges in canonical order."""
+        return tuple(self.graph.time_edges())
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only, never the cached properties.
+        return {"graph": self.graph, "terminals": self.terminals}
 
     @property
     def lifetime(self) -> int:
@@ -400,6 +412,41 @@ def propagate_arrivals(
         if targets is not None and targets <= arrival.keys():
             done = True
     return arrival, predecessor
+
+
+def label_reach_masks(
+    groups: Iterable[tuple[int, tuple[TimeEdge, ...]]],
+    bits: Mapping[NodeId, int],
+    labels: Iterable[int],
+) -> dict[int, dict[NodeId, int]]:
+    """Backward reach sweep: ``masks[L][x]`` ORs ``bits`` over the nodes that
+    ``x`` reaches by a temporal path leaving at label ``L`` or later.
+
+    ``bits`` must map every node; a node always reaches itself. Masks are
+    returned for every label in ``labels`` or in ``groups``; a label that no
+    edge carries shares the mask of the next larger one. Labels are
+    processed in descending order and, inside one label, a fixed point
+    spreads masks over each connected component of that label's edges, so
+    one pass answers the query for every (node, label) pair.
+    """
+    by_label = dict(groups)
+    current = dict(bits)
+    masks: dict[int, dict[NodeId, int]] = {}
+    for label in sorted(by_label.keys() | set(labels), reverse=True):
+        edges = by_label.get(label, ())
+        if edges:
+            current = dict(current)
+            changed = True
+            while changed:
+                changed = False
+                for edge in edges:
+                    mu = current[edge.u]
+                    mv = current[edge.v]
+                    if mu != mv:
+                        current[edge.u] = current[edge.v] = mu | mv
+                        changed = True
+        masks[label] = current
+    return masks
 
 
 def earliest_arrivals(graph: TemporalGraph, source: NodeId) -> ArrivalMap:

@@ -19,12 +19,27 @@ reachability goal can be ordered so that every edge strictly improves the
 earliest-arrival map of the prefix before it (an edge that never improves the
 map is redundant, contradicting minimality), so depth-first search over
 arrival-improving extensions visits a witness whenever one exists.
+
+The last edge of a candidate strategy needs no full propagation. Let O be
+the other agents' edges, C the chosen prefix and G' = O + C, and let
+(a, b, L) improve the arrival map of G': ``a`` is reached by time L, ``b``
+only later or never. Call a walk's position (node w, time t) covered when G'
+reaches w by time t. A step over an edge of G' from a covered position ends
+covered. So does a step over an edge of C from anywhere, because each chosen
+edge improved the map when it was chosen, so G' reaches both of its ends by
+its label; and so does a step from ``b`` back to ``a``. A walk from ``v`` in
+G' + (a, b, L) therefore leaves the covered positions only by crossing to
+``b`` at time L, and until it is covered again it uses edges of O only. The
+terminals reached are thus those G' reaches plus those ``b`` reaches in O
+leaving at L or later: ``reached_before | mask[L][b]``. The mask depends on
+neither the prefix nor the last edge, so one backward sweep over O
+(:func:`core.label_reach_masks`) serves a whole search.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -35,6 +50,7 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     group_by_label,
+    label_reach_masks,
     propagate_arrivals,
 )
 from .errors import (
@@ -281,24 +297,15 @@ def social_cost(s: StrategyProfile, host: HostGraph) -> CostBreakdown:
 
 
 def _setting_candidates(
-    host: HostGraph, v: NodeId, setting: Setting, exclude: frozenset[TimeEdge]
+    host: HostGraph, v: NodeId, setting: Setting, exclude: Collection[TimeEdge]
 ) -> list[TimeEdge]:
     """Host time edges the agent may buy, minus ``exclude``, canonical order."""
-    out = []
-    for edge in host.time_edges():
-        if edge in exclude:
-            continue
-        if setting is Setting.LOCAL and not edge.touches(v):
-            continue
-        out.append(edge)
-    out.sort()
-    return out
-
-
-def _improves_arrival(arrival: dict[NodeId, int], edge: TimeEdge) -> bool:
-    au = arrival.get(edge.u, _INF)
-    av = arrival.get(edge.v, _INF)
-    return (au <= edge.label < av) or (av <= edge.label < au)
+    local = setting is Setting.LOCAL
+    return [
+        edge
+        for edge in host.sorted_time_edges
+        if edge not in exclude and (not local or edge.touches(v))
+    ]
 
 
 def find_improving_response(
@@ -314,7 +321,10 @@ def find_improving_response(
     each size explores only extension edges that strictly improve the current
     earliest-arrival map from ``v`` (see module docstring for why this is
     complete for inclusion-minimal witnesses). The returned response, if any,
-    is the first witness of minimum size in canonical order.
+    is the first witness of minimum size in canonical order. The depth-first
+    walk keeps its own stack, so its depth does not depend on Python's
+    recursion limit, and the last edge of each candidate is tested by one
+    lookup in masks built once per search (module docstring).
 
     ``cap`` defaults to |S_v| - 1 when v already reaches every terminal (the
     exact threshold) and to the terminal count otherwise (direct edges always
@@ -339,49 +349,68 @@ def find_improving_response(
     exact_threshold = (e0 - 1) if current_unreached == 0 else k
     if r_max < 0:
         return SearchOutcome(response=None, exact=True, states_examined=0)
-
-    candidates = _setting_candidates(host, v, s.setting, frozenset(others))
-    examined = 0
-    exhausted = False
     if CostBreakdown(_unreached_count(groups, v, host), 0) < current:
         return SearchOutcome(response=frozenset(), exact=True, states_examined=1)
+    if r_max == 0:
+        return SearchOutcome(
+            response=None, exact=cap >= exact_threshold, states_examined=0
+        )
 
+    candidates = _setting_candidates(host, v, s.setting, others)
+    bits = dict.fromkeys(host.nodes, 0)
+    for i, t in enumerate(host.terminals):
+        bits[t] = 1 << i
+    masks = label_reach_masks(groups, bits, {edge.label for edge in candidates})
+    start_arrival, _ = propagate_arrivals(groups, v)
+    examined = 0
     for r in range(1, r_max + 1):
-        visited: set[frozenset[TimeEdge]] = set()
-
-        def dfs(chosen: tuple[TimeEdge, ...], arrival: dict[NodeId, int]) -> frozenset[TimeEdge] | None:
-            nonlocal examined, exhausted
-            for edge in candidates:
-                if exhausted:
-                    return None
-                if edge in chosen or not _improves_arrival(arrival, edge):
+        # (unreached, r) < current exactly when at least ``need`` terminals
+        # are reached.
+        need = k - current_unreached + (r >= e0)
+        # States are sets of candidate indices, keyed as bitmasks.
+        visited: set[int] = set()
+        # Frames: (chosen edges, their key, their arrival map, next index).
+        stack = [((), 0, start_arrival, 0)]
+        while stack:
+            chosen, key, arrival, start = stack.pop()
+            last = len(chosen) == r - 1
+            if last:
+                reached = 0
+                for node in arrival:
+                    reached |= bits[node]
+            for i in range(start, len(candidates)):
+                edge = candidates[i]
+                # An edge already chosen never improves the map it is part of.
+                au = arrival.get(edge.u, _INF)
+                av = arrival.get(edge.v, _INF)
+                if au <= edge.label < av:
+                    far = edge.v
+                elif av <= edge.label < au:
+                    far = edge.u
+                else:
                     continue
-                state = frozenset((*chosen, edge))
+                state = key | 1 << i
                 if state in visited:
                     continue
                 visited.add(state)
                 examined += 1
                 if budget is not None and examined > budget:
-                    exhausted = True
-                    return None
-                extended = (*chosen, edge)
-                new_arrival, _ = propagate_arrivals(groups, v, extra=extended)
-                if len(extended) == r:
-                    unreached = sum(1 for t in host.terminals if t not in new_arrival)
-                    if CostBreakdown(unreached, r) < current:
-                        return state
+                    return SearchOutcome(
+                        response=None, exact=False, states_examined=examined
+                    )
+                if last:
+                    if (reached | masks[edge.label][far]).bit_count() >= need:
+                        return SearchOutcome(
+                            response=frozenset((*chosen, edge)),
+                            exact=True,
+                            states_examined=examined,
+                        )
                 else:
-                    found = dfs(extended, new_arrival)
-                    if found is not None:
-                        return found
-            return None
-
-        start_arrival, _ = propagate_arrivals(groups, v)
-        found = dfs((), start_arrival)
-        if found is not None:
-            return SearchOutcome(response=found, exact=True, states_examined=examined)
-        if exhausted:
-            return SearchOutcome(response=None, exact=False, states_examined=examined)
+                    extended = (*chosen, edge)
+                    new_arrival, _ = propagate_arrivals(groups, v, extra=extended)
+                    stack.append((chosen, key, arrival, i + 1))
+                    stack.append((extended, state, new_arrival, 0))
+                    break
     return SearchOutcome(
         response=None,
         exact=cap >= exact_threshold,
@@ -494,7 +523,7 @@ def greedy_improving_response(
     groups = group_by_label(realized)
     current_unreached = _unreached_count(groups, v, host)
     if current_unreached > 0:
-        for edge in _setting_candidates(host, v, s.setting, frozenset(realized)):
+        for edge in _setting_candidates(host, v, s.setting, realized):
             if _unreached_count(groups, v, host, extra=(edge,)) < current_unreached:
                 return GreedyMove(action="add", edge=edge, new_strategy=own | {edge})
     others: set[TimeEdge] = set()
@@ -502,8 +531,9 @@ def greedy_improving_response(
         if agent != v:
             others |= edges
     other_groups = group_by_label(others)
-    for edge in sorted(own):
-        remaining = tuple(e for e in sorted(own) if e != edge)
+    ordered = sorted(own)
+    for edge in ordered:
+        remaining = tuple(e for e in ordered if e != edge)
         if (
             _unreached_count(other_groups, v, host, extra=remaining)
             == current_unreached

@@ -85,7 +85,7 @@ def min_terminal_spanner(
     tree = mono_label_spanning_tree(host)
     if tree is not None:
         return tree
-    pool = sorted(host.time_edges())
+    pool = host.sorted_time_edges
     if len(pool) > config.max_candidate_edges:
         raise SearchTooLarge(
             f"{len(pool)} candidate edges exceed the budget of "

@@ -164,7 +164,7 @@ def find_nash_by_search(
     Raises:
         SearchTooLarge: the subset space exceeds ``max_subsets``.
     """
-    pool = sorted(host.time_edges())
+    pool = host.sorted_time_edges
     sizes = range(max(host.node_count - 1, 0), len(pool) + 1)
     for combo in bounded_subsets(pool, sizes, max_subsets):
         target = TemporalGraph(host.nodes, combo)

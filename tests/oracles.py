@@ -5,12 +5,17 @@ enumeration of simple temporal paths, deviations from full subset
 enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
+
+Two references are earlier versions of a library routine, kept so a faster
+rewrite can be checked against them exactly: the restart-loop prune and the
+recursive deviation search (which does use the library's reach kernel).
 """
 
 import itertools
 import math
 
-from tempo_ncg import Setting, TemporalGraph
+from tempo_ncg import CostBreakdown, SearchOutcome, Setting, TemporalGraph
+from tempo_ncg.core import group_by_label, propagate_arrivals
 
 
 def brute_force_arrivals(graph, source):
@@ -170,3 +175,90 @@ def naive_min_spanner(host):
             if oracle_is_spanner(TemporalGraph(host.nodes, combo), host.terminals):
                 return size, combo
     raise AssertionError("a complete host always spans")
+
+
+def oracle_find_improving_response(v, s, host, cap=None, budget=None):
+    """The deviation search as first written: recursive, one full propagation
+    per examined state, states keyed by frozensets of time edges.
+
+    Same contract as ``find_improving_response`` (search order, state count,
+    budget rule, canonical-first minimum-size witness), kept as the reference
+    for the library's faster search.
+    """
+    s.validate(host)
+    own = s.strategy(v)
+    e0 = len(own)
+    others = set()
+    for agent, edges in s.strategies.items():
+        if agent != v:
+            others |= edges
+    groups = group_by_label(others)
+    k = host.terminal_count
+
+    def unreached_with(extra):
+        arrival, _ = propagate_arrivals(groups, v, extra=extra)
+        return sum(1 for t in host.terminals if t not in arrival)
+
+    def improves(arrival, edge):
+        au = arrival.get(edge.u, math.inf)
+        av = arrival.get(edge.v, math.inf)
+        return (au <= edge.label < av) or (av <= edge.label < au)
+
+    current_unreached = unreached_with(own)
+    current = CostBreakdown(current_unreached, e0)
+    if cap is None:
+        cap = e0 - 1 if current_unreached == 0 else k
+    r_max = min(cap, e0 - 1) if current_unreached == 0 else cap
+    exact_threshold = (e0 - 1) if current_unreached == 0 else k
+    if r_max < 0:
+        return SearchOutcome(response=None, exact=True, states_examined=0)
+
+    candidates = sorted(
+        e
+        for e in host.time_edges()
+        if e not in others and (s.setting is Setting.GLOBAL or e.touches(v))
+    )
+    examined = 0
+    exhausted = False
+    if CostBreakdown(unreached_with(()), 0) < current:
+        return SearchOutcome(response=frozenset(), exact=True, states_examined=1)
+
+    for r in range(1, r_max + 1):
+        visited = set()
+
+        def dfs(chosen, arrival):
+            nonlocal examined, exhausted
+            for edge in candidates:
+                if exhausted:
+                    return None
+                if edge in chosen or not improves(arrival, edge):
+                    continue
+                state = frozenset((*chosen, edge))
+                if state in visited:
+                    continue
+                visited.add(state)
+                examined += 1
+                if budget is not None and examined > budget:
+                    exhausted = True
+                    return None
+                extended = (*chosen, edge)
+                new_arrival, _ = propagate_arrivals(groups, v, extra=extended)
+                if len(extended) == r:
+                    unreached = sum(1 for t in host.terminals if t not in new_arrival)
+                    if CostBreakdown(unreached, r) < current:
+                        return state
+                else:
+                    found = dfs(extended, new_arrival)
+                    if found is not None:
+                        return found
+            return None
+
+        start_arrival, _ = propagate_arrivals(groups, v)
+        found = dfs((), start_arrival)
+        if found is not None:
+            return SearchOutcome(response=found, exact=True, states_examined=examined)
+        if exhausted:
+            return SearchOutcome(response=None, exact=False, states_examined=examined)
+    return SearchOutcome(
+        response=None, exact=cap >= exact_threshold, states_examined=examined
+    )

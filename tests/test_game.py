@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 
 from tempo_ncg import (
@@ -226,6 +229,42 @@ def test_idle_satisfied_agent_is_exact_immediately():
     assert outcome.response is None
     assert outcome.exact
     assert outcome.states_examined == 0
+
+
+def _lowest_recursion_limit():
+    """The smallest recursion limit the interpreter accepts at this depth."""
+    saved = sys.getrecursionlimit()
+    limit = 1
+    while True:
+        try:
+            sys.setrecursionlimit(limit)
+        except RecursionError:
+            limit += 1
+            continue
+        sys.setrecursionlimit(saved)
+        return limit
+
+
+def test_search_depth_does_not_depend_on_the_recursion_limit():
+    nodes = [f"n{i:02d}" for i in range(12)]
+    host = make_host(nodes, {}, 1, nodes)
+    v = nodes[0]
+    profile = StrategyProfile(
+        setting=Setting.LOCAL,
+        strategies={v: frozenset(edge(v, t, 1) for t in nodes[1:])},
+    )
+    # Every direct edge is needed, so the search runs through depth 10.
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_lowest_recursion_limit() + 8)
+    try:
+        outcome = find_improving_response(v, profile, host)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert outcome.response is None
+    assert outcome.exact
+    assert outcome.states_examined == sum(
+        math.comb(11, j) for r in range(1, 11) for j in range(1, r + 1)
+    )
 
 
 def test_budget_never_flips_a_verdict():

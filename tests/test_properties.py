@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     brute_force_arrivals,
     oracle_edge_needers,
+    oracle_find_improving_response,
     oracle_mono_label_tree,
     oracle_prune_to_minimal,
 )
@@ -13,6 +14,7 @@ from tempo_ncg import (
     HostGraph,
     PreconditionFailed,
     Setting,
+    StrategyProfile,
     TemporalGraph,
     TimeEdge,
     Verdict,
@@ -20,6 +22,7 @@ from tempo_ncg import (
     direct_terminal_profile,
     earliest_arrivals,
     edge_needers,
+    find_improving_response,
     find_nash_by_search,
     graph_product,
     is_greedy_equilibrium,
@@ -31,6 +34,7 @@ from tempo_ncg import (
     two_terminal_ne,
     validate_and_normalize_host,
 )
+from tempo_ncg.core import label_reach_masks
 
 
 def _pairs(nodes):
@@ -78,6 +82,23 @@ def test_arrivals_match_brute_force(graph):
     for source in graph.nodes:
         got = earliest_arrivals(graph, source)
         assert dict(got.arrival) == brute_force_arrivals(graph, source)
+
+
+@given(temporal_graphs(), st.data())
+def test_backward_reach_masks_match_brute_force(graph, data):
+    bits = {v: data.draw(st.integers(0, 7), label=v) for v in graph.nodes}
+    labels = data.draw(st.sets(st.integers(min_value=1, max_value=6)), label="labels")
+    masks = label_reach_masks(graph.label_groups(), bits, labels)
+    assert masks.keys() == labels | {e.label for e in graph.time_edges()}
+    for label, by_node in masks.items():
+        later = TemporalGraph(
+            graph.nodes, [e for e in graph.time_edges() if e.label >= label]
+        )
+        for source in graph.nodes:
+            want = 0
+            for node in brute_force_arrivals(later, source):
+                want |= bits[node]
+            assert by_node[source] == want
 
 
 @given(temporal_graphs(max_n=4), st.data())
@@ -223,3 +244,37 @@ def test_budget_only_ever_downgrades_the_verdict_to_inconclusive(case):
     for budget in range(exact.states_examined + 1):
         verdict = is_nash_equilibrium(profile, host, budget=budget).verdict
         assert verdict in (exact.verdict, Verdict.INCONCLUSIVE)
+
+
+@st.composite
+def search_cases(draw):
+    """A small host and a random profile in which agents may miss terminals."""
+    host = draw(hosts(max_n=6, max_label=3))
+    setting = draw(st.sampled_from(list(Setting)))
+    rng = draw(st.randoms(use_true_random=False))
+    strategies = {}
+    for v in host.nodes:
+        density = rng.choice([0.0, 0.05, 0.1, 0.3])
+        strategies[v] = frozenset(
+            e
+            for e in host.time_edges()
+            if (setting is Setting.GLOBAL or e.touches(v)) and rng.random() < density
+        )
+    return host, StrategyProfile(setting, strategies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases(), st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
+def test_deviation_search_matches_the_recursive_oracle(case, cap):
+    host, profile = case
+    for agent in host.nodes:
+        for budget in (None, 1, 3, 17):
+            got = find_improving_response(agent, profile, host, cap=cap, budget=budget)
+            want = oracle_find_improving_response(
+                agent, profile, host, cap=cap, budget=budget
+            )
+            assert (got.response, got.exact, got.states_examined) == (
+                want.response,
+                want.exact,
+                want.states_examined,
+            )
