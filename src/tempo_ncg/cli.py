@@ -40,7 +40,7 @@ from .game import (
     realized_graph,
 )
 from .instance_io import InstanceFile, dumps_instance, load_instance
-from .poa import build_poa_record, compute_optimum, records_to_csv, records_to_json
+from .poa import build_poa_record, optimum_bounds, records_to_csv, records_to_json
 from .spanner_opt import SpannerSearchConfig, min_terminal_spanner
 from .sweeps import sweep_ownership
 
@@ -319,14 +319,18 @@ def dynamics(instance, max_rounds, setting) -> None:
 def optimum(instance, max_edges, max_subsets) -> None:
     """Exact minimum terminal spanner, or bracketed bounds (exit 2)."""
     inst = _load_or_die(instance)
-    config = SpannerSearchConfig(max_candidate_edges=max_edges,
-                                 max_subsets=max_subsets)
+    try:
+        config = SpannerSearchConfig(max_candidate_edges=max_edges,
+                                     max_subsets=max_subsets)
+    except ValueError as exc:
+        _fail_usage(str(exc))
+        raise AssertionError  # unreachable
     try:
         spanner = min_terminal_spanner(inst.host, config)
     except SearchTooLarge:
-        upper, exact, lower = compute_optimum(inst.host, config)
+        upper, lower = optimum_bounds(inst.host)
         click.echo(json.dumps({
-            "exact": exact, "lower_bound": lower, "upper_bound": upper,
+            "exact": False, "lower_bound": lower, "upper_bound": upper,
         }, indent=2))
         sys.exit(2)
     click.echo(json.dumps({

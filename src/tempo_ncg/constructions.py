@@ -24,6 +24,7 @@ from .core import (
     bounded_subsets,
     connected_components,
     group_by_label,
+    is_terminal_spanner,
     kruskal,
     propagate_arrivals,
     validate_and_normalize_host,
@@ -757,14 +758,7 @@ def dense_cycle_lemma_checks(x: int) -> DenseCycleChecks:
         covered |= part
     partition_ok = partition_ok and covered == all_edges
 
-    all_nodes = frozenset(graph.nodes)
-    connected_ok = True
-    groups = instance.connected_graph.label_groups()
-    for node in graph.nodes:
-        arrival, _ = propagate_arrivals(groups, node, targets=all_nodes)
-        if not all_nodes <= arrival.keys():
-            connected_ok = False
-            break
+    connected_ok = is_terminal_spanner(instance.connected_graph, graph.nodes)
 
     return DenseCycleChecks(
         x=x,

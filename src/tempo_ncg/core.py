@@ -9,9 +9,12 @@ graph together with a nonempty set of terminal nodes.
 
 Earliest-arrival computation processes labels in ascending order and runs a
 fixed point inside each label group, so chains of equally labelled edges
-propagate in one pass. :func:`label_reach_masks` is its backward twin: one
-sweep in descending label order answers "what does node x still reach when
-it leaves at label L or later" for every (node, label) at once.
+propagate in one pass. :func:`reach_masks` is its backward twin: one sweep
+in descending label order gives, for every node at once, the terminals it
+reaches (one bit each, :func:`terminal_bits`). The spanner, minimality and
+needer checks each cost one such sweep, not one forward propagation per
+node; :func:`label_reach_masks` keeps a snapshot per label for the
+deviation search (after Wu et al., VLDB 2014).
 
 The other modules share four primitives from here instead of their own
 copies: :func:`group_by_label` (label groups for every sweep),
@@ -414,20 +417,41 @@ def propagate_arrivals(
     return arrival, predecessor
 
 
+def reach_masks(
+    groups: Iterable[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
+) -> dict[NodeId, int]:
+    """Backward reach sweep: ``masks[x]`` ORs ``bits`` over every node that
+    ``x`` reaches from time 0, for all sources in one pass.
+
+    ``bits`` must map every node; a node always reaches itself. Labels are
+    processed in descending order and, inside one label, a fixed point
+    spreads masks over each connected component of that label's edges.
+    """
+    masks = dict(bits)
+    for _, edges in sorted(groups, key=lambda group: group[0], reverse=True):
+        changed = True
+        while changed:
+            changed = False
+            for edge in edges:
+                mu = masks[edge.u]
+                mv = masks[edge.v]
+                if mu != mv:
+                    masks[edge.u] = masks[edge.v] = mu | mv
+                    changed = True
+    return masks
+
+
 def label_reach_masks(
     groups: Iterable[tuple[int, tuple[TimeEdge, ...]]],
     bits: Mapping[NodeId, int],
     labels: Iterable[int],
 ) -> dict[int, dict[NodeId, int]]:
-    """Backward reach sweep: ``masks[L][x]`` ORs ``bits`` over the nodes that
-    ``x`` reaches by a temporal path leaving at label ``L`` or later.
+    """:func:`reach_masks` with a snapshot per label: ``masks[L][x]`` ORs
+    ``bits`` over the nodes that ``x`` reaches by a temporal path leaving at
+    label ``L`` or later.
 
-    ``bits`` must map every node; a node always reaches itself. Masks are
-    returned for every label in ``labels`` or in ``groups``; a label that no
-    edge carries shares the mask of the next larger one. Labels are
-    processed in descending order and, inside one label, a fixed point
-    spreads masks over each connected component of that label's edges, so
-    one pass answers the query for every (node, label) pair.
+    Masks are returned for every label in ``labels`` or in ``groups``; a
+    label that no edge carries shares the mask of the next larger one.
     """
     by_label = dict(groups)
     current = dict(bits)
@@ -435,18 +459,27 @@ def label_reach_masks(
     for label in sorted(by_label.keys() | set(labels), reverse=True):
         edges = by_label.get(label, ())
         if edges:
-            current = dict(current)
-            changed = True
-            while changed:
-                changed = False
-                for edge in edges:
-                    mu = current[edge.u]
-                    mv = current[edge.v]
-                    if mu != mv:
-                        current[edge.u] = current[edge.v] = mu | mv
-                        changed = True
+            current = reach_masks(((label, edges),), current)
         masks[label] = current
     return masks
+
+
+def terminal_bits(
+    nodes: Iterable[NodeId], terminals: Iterable[NodeId]
+) -> dict[NodeId, int]:
+    """Bit ``i`` for the ``i``-th of the distinct ``terminals``, 0 elsewhere."""
+    bits = dict.fromkeys(nodes, 0)
+    for i, t in enumerate(terminals):
+        bits[t] = 1 << i
+    return bits
+
+
+def spans_terminals(
+    groups: Iterable[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
+) -> bool:
+    """Whether every node reaches every :func:`terminal_bits` terminal."""
+    full = sum(bits.values())
+    return all(mask == full for mask in reach_masks(groups, bits).values())
 
 
 def earliest_arrivals(graph: TemporalGraph, source: NodeId) -> ArrivalMap:
@@ -534,13 +567,8 @@ def _check_terminals(graph: TemporalGraph, terminals: Iterable[NodeId]) -> froze
 
 def is_terminal_spanner(graph: TemporalGraph, terminals: Iterable[NodeId]) -> bool:
     """Whether every node of ``graph`` temporally reaches every terminal."""
-    terminal_set = _check_terminals(graph, terminals)
-    groups = graph.label_groups()
-    for node in graph.nodes:
-        arrival, _ = propagate_arrivals(groups, node, targets=terminal_set)
-        if not terminal_set <= arrival.keys():
-            return False
-    return True
+    bits = terminal_bits(graph.nodes, _check_terminals(graph, terminals))
+    return spans_terminals(graph.label_groups(), bits)
 
 
 def iter_needers(
@@ -548,14 +576,23 @@ def iter_needers(
 ) -> Iterator[NodeId]:
     """Nodes of ``graph``, canonical order, that miss a terminal without ``edge``.
 
-    Lazy, so a caller asking only whether the edge has a needer stops at the
-    first one. No needer means the edge can be dropped from a spanner.
+    No needer means the edge can be dropped from a spanner. The first
+    ``next`` runs one backward sweep over the graph's label groups with the
+    edge left out, whether the caller takes one needer or all of them.
+
+    Raises:
+        UnknownNode: ``edge`` is not in ``graph``.
     """
-    groups = graph.without_time_edge(edge).label_groups()
-    for node in graph.nodes:
-        arrival, _ = propagate_arrivals(groups, node, targets=terminals)
-        if not terminals <= arrival.keys():
-            yield node
+    if not graph.has_time_edge(edge):
+        raise UnknownNode(f"{edge} is not in the graph")
+    groups = [
+        (label, [e for e in edges if e != edge] if label == edge.label else edges)
+        for label, edges in graph.label_groups()
+    ]
+    bits = terminal_bits(graph.nodes, terminals)
+    masks = reach_masks(groups, bits)
+    full = sum(bits.values())
+    yield from (node for node in graph.nodes if masks[node] != full)
 
 
 def is_minimal_terminal_spanner(

@@ -52,6 +52,8 @@ from .core import (
     group_by_label,
     label_reach_masks,
     propagate_arrivals,
+    reach_masks,
+    terminal_bits,
 )
 from .errors import (
     InvalidPurchase,
@@ -289,8 +291,9 @@ def social_cost(s: StrategyProfile, host: HostGraph) -> CostBreakdown:
     are disjoint, so the edge component then equals the realized edge count.
     """
     graph = realized_graph(s, host)
-    groups = graph.label_groups()
-    unreached_total = sum(_unreached_count(groups, v, host) for v in host.nodes)
+    masks = reach_masks(graph.label_groups(), terminal_bits(host.nodes, host.terminals))
+    k = host.terminal_count
+    unreached_total = sum(k - mask.bit_count() for mask in masks.values())
     return CostBreakdown(
         unreached_terminals=unreached_total, edges_bought=s.total_purchases()
     )
@@ -357,9 +360,7 @@ def find_improving_response(
         )
 
     candidates = _setting_candidates(host, v, s.setting, others)
-    bits = dict.fromkeys(host.nodes, 0)
-    for i, t in enumerate(host.terminals):
-        bits[t] = 1 << i
+    bits = terminal_bits(host.nodes, host.terminals)
     masks = label_reach_masks(groups, bits, {edge.label for edge in candidates})
     start_arrival, _ = propagate_arrivals(groups, v)
     examined = 0
@@ -418,17 +419,6 @@ def find_improving_response(
     )
 
 
-def _direct_edge_witness(
-    v: NodeId, s: StrategyProfile, host: HostGraph, graph: TemporalGraph
-) -> DeviationWitness:
-    """Witness for an agent that misses a terminal: add one direct edge."""
-    arrival, _ = propagate_arrivals(graph.label_groups(), v, targets=host.terminal_set)
-    missing = [t for t in host.terminals if t not in arrival]
-    target = missing[0]
-    edge = TimeEdge(v, target, host.min_label(v, target))
-    return DeviationWitness(agent=v, strategy=s.strategy(v) | {edge})
-
-
 def _assert_improving(
     witness: DeviationWitness, s: StrategyProfile, host: HostGraph
 ) -> None:
@@ -456,12 +446,17 @@ def is_nash_equilibrium(
     """
     s.validate(host)
     graph = realized_graph(s, host)
-    groups = graph.label_groups()
+    bits = terminal_bits(host.nodes, host.terminals)
+    masks = reach_masks(graph.label_groups(), bits)
+    full = sum(bits.values())
     examined_total = 0
     inconclusive = False
     for v in host.nodes:
-        if _unreached_count(groups, v, host) > 0:
-            witness = _direct_edge_witness(v, s, host, graph)
+        if masks[v] != full:
+            # Add a direct edge to the first terminal that v misses.
+            target = next(t for t in host.terminals if not masks[v] & bits[t])
+            edge = TimeEdge(v, target, host.min_label(v, target))
+            witness = DeviationWitness(agent=v, strategy=s.strategy(v) | {edge})
             _assert_improving(witness, s, host)
             return VerificationReport(
                 verdict=Verdict.REFUTED,

@@ -81,23 +81,25 @@ class PoARecord:
 def compute_optimum(
     host: HostGraph, config: SpannerSearchConfig | None = None
 ) -> tuple[int, bool, int]:
-    """(optimum or best upper bound, exact flag, lower bound).
-
-    Falls back to pruning the full host to an inclusion-minimal spanner when
-    the exact search refuses; above ``PRUNE_EDGE_LIMIT`` host edges even that
-    is skipped and the host's own edge count serves as the (weak) bound.
-    """
-    lower = max(host.node_count - 1, 0)
+    """(optimum or best upper bound, exact flag, lower bound); the bounds
+    come from :func:`optimum_bounds` when the exact search refuses."""
     try:
         exact = min_terminal_spanner(host, config).time_edge_count
-        return exact, True, exact
     except SearchTooLarge:
-        pass
+        upper, lower = optimum_bounds(host)
+        return upper, False, lower
+    return exact, True, exact
+
+
+def optimum_bounds(host: HostGraph) -> tuple[int, int]:
+    """(upper, lower) optimum bounds without the exact search: the host
+    pruned to an inclusion-minimal spanner, or above ``PRUNE_EDGE_LIMIT``
+    host edges the host's own (weak) edge count, and n - 1."""
     if host.time_edge_count <= PRUNE_EDGE_LIMIT:
         upper = prune_to_minimal(host.graph, host.terminals).time_edge_count
     else:
         upper = host.time_edge_count
-    return upper, False, lower
+    return upper, max(host.node_count - 1, 0)
 
 
 def build_poa_record(

@@ -22,10 +22,12 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     bounded_subsets,
-    connected_components,
+    group_by_label,
     is_terminal_spanner,
     iter_needers,
     kruskal,
+    spans_terminals,
+    terminal_bits,
 )
 from .errors import NotASpanner, NotMinimal, SearchTooLarge
 from .game import Setting, StrategyProfile
@@ -73,8 +75,8 @@ def min_terminal_spanner(
     all nodes (n - 1 edges, provably optimal). Otherwise enumerates host
     time-edge subsets by ascending cardinality starting at n - 1 and returns
     the first terminal spanner found, which is the lexicographically least
-    optimum. Candidates failing static connectivity are skipped before any
-    temporal check.
+    optimum. Each subset is tested by one backward sweep over its label
+    groups, and only the winner becomes a graph.
 
     Raises:
         SearchTooLarge: the host has more candidate edges or subsets than the
@@ -92,12 +94,10 @@ def min_terminal_spanner(
             f"{config.max_candidate_edges}"
         )
     sizes = range(host.node_count - 1, len(pool) + 1)
+    bits = terminal_bits(host.nodes, host.terminals)
     for combo in bounded_subsets(pool, sizes, config.max_subsets):
-        if len(connected_components(host.nodes, {e.pair for e in combo})) != 1:
-            continue
-        candidate = TemporalGraph(host.nodes, combo)
-        if is_terminal_spanner(candidate, host.terminals):
-            return candidate
+        if spans_terminals(group_by_label(combo), bits):
+            return TemporalGraph(host.nodes, combo)
     raise AssertionError("internal error: a complete host is its own spanner")
 
 
@@ -106,11 +106,12 @@ def prune_to_minimal(
 ) -> TemporalGraph:
     """Drop removable time edges in one pass over the canonical edge order.
 
-    An edge is dropped when no node needs it in the graph pruned so far. The
-    result is an inclusion-minimal terminal spanner (minimal inputs come back
-    unchanged), the same one as from dropping the first removable edge and
-    rescanning until none is left: removal only shrinks reachability, so an
-    edge found needed stays needed in every smaller spanner.
+    An edge is dropped when no node needs it in the graph pruned so far (one
+    sweep per edge). The result is an inclusion-minimal terminal spanner
+    (minimal inputs come back unchanged), the same one as from dropping the
+    first removable edge and rescanning until none is left: removal only
+    shrinks reachability, so an edge found needed stays needed in every
+    smaller spanner.
 
     Raises:
         NotASpanner: input does not reach every terminal from every node.
@@ -118,11 +119,15 @@ def prune_to_minimal(
     terminal_set = frozenset(terminals)
     if not is_terminal_spanner(graph, terminal_set):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
-    current = graph
+    by_label = {label: list(edges) for label, edges in graph.label_groups()}
+    bits = terminal_bits(graph.nodes, terminal_set)
     for edge in sorted(graph.time_edges()):
-        if next(iter_needers(current, edge, terminal_set), None) is None:
-            current = current.without_time_edge(edge)
-    return current
+        edges = by_label[edge.label]
+        at = edges.index(edge)
+        del edges[at]
+        if not spans_terminals(by_label.items(), bits):
+            edges.insert(at, edge)
+    return TemporalGraph(graph.nodes, itertools.chain.from_iterable(by_label.values()))
 
 
 def ge_from_minimal_spanner(

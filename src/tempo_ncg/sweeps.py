@@ -22,8 +22,11 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     bounded_subsets,
+    group_by_label,
     is_terminal_spanner,
     iter_needers,
+    spans_terminals,
+    terminal_bits,
 )
 from .errors import InvalidPurchase, SearchTooLarge
 from .game import Setting, StrategyProfile, Verdict, is_nash_equilibrium
@@ -166,11 +169,11 @@ def find_nash_by_search(
     """
     pool = host.sorted_time_edges
     sizes = range(max(host.node_count - 1, 0), len(pool) + 1)
+    bits = terminal_bits(host.nodes, host.terminals)
     for combo in bounded_subsets(pool, sizes, max_subsets):
-        target = TemporalGraph(host.nodes, combo)
-        if not is_terminal_spanner(target, host.terminals):
+        if not spans_terminals(group_by_label(combo), bits):
             continue
-        result = sweep_ownership(host, target, setting)
+        result = sweep_ownership(host, TemporalGraph(host.nodes, combo), setting)
         if result.equilibria:
             return result.equilibria[0]
     return None

@@ -65,6 +65,15 @@ def oracle_prune_to_minimal(graph, terminals):
             return current
 
 
+def oracle_is_minimal_spanner(graph, terminals):
+    """(True, None), or (False, e) with e the canonically first edge whose
+    removal leaves a spanner. The input must be a spanner."""
+    for edge in sorted(graph.time_edges()):
+        if oracle_is_spanner(graph.without_time_edge(edge), terminals):
+            return False, edge
+    return True, None
+
+
 def oracle_edge_needers(target, host):
     """Per target edge, the nodes that miss a terminal once it is removed."""
     want = set(host.terminals)

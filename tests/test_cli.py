@@ -14,6 +14,8 @@ from tempo_ncg import (
     loads_instance,
     save_instance,
 )
+import tempo_ncg.cli
+import tempo_ncg.poa
 from tempo_ncg.cli import main
 from tempo_ncg.fixtures import FIXTURE_BUILDERS, get_fixture
 
@@ -271,6 +273,35 @@ def test_optimum_refusal_reports_bounds_and_exits_2(runner, tmp_path):
     assert data["exact"] is False
     assert data["lower_bound"] == 3
     assert data["lower_bound"] <= data["upper_bound"]
+
+
+@pytest.mark.parametrize("flag", ["--max-edges", "--max-subsets"])
+def test_optimum_nonpositive_budget_is_a_usage_error(runner, tmp_path, flag):
+    path = gen_file(runner, tmp_path, "forced.json", "fig4")
+    result = invoke(runner, "optimum", str(path), flag, "0")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "budgets must be positive" in result.stderr
+
+
+@pytest.mark.parametrize("budget", [["--max-edges", "3"], ["--max-subsets", "5"]])
+def test_refused_optimum_runs_the_exact_search_once(runner, tmp_path, monkeypatch, budget):
+    calls = []
+    search = tempo_ncg.poa.min_terminal_spanner
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for module in (tempo_ncg.cli, tempo_ncg.poa):
+        monkeypatch.setattr(module, "min_terminal_spanner", counted)
+    path = gen_file(runner, tmp_path, "forced.json", "fig4")
+    result = invoke(runner, "optimum", str(path), *budget)
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "exact": False, "lower_bound": 3, "upper_bound": 4,
+    }
+    assert len(calls) == 1
 
 
 # -- poa ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from tempo_ncg import (
     realized_graph,
     validate_and_normalize_host,
 )
+from tempo_ncg.core import iter_needers
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 
 from oracles import brute_force_arrivals
@@ -286,6 +287,13 @@ def test_minimality_requires_spanner_input():
     g = TemporalGraph(["a", "b"])
     with pytest.raises(NotASpanner):
         is_minimal_terminal_spanner(g, ["a", "b"])
+
+
+def test_needers_of_an_absent_edge_is_an_unknown_node_error():
+    g = TemporalGraph(["a", "b", "c"], [edge("a", "b", 1), edge("b", "c", 2)])
+    assert list(iter_needers(g, edge("a", "b", 1), frozenset("c"))) == ["a"]
+    with pytest.raises(UnknownNode):
+        next(iter_needers(g, edge("a", "b", 2), frozenset("c")))
 
 
 # --- static components ------------------------------------------------------

@@ -1,17 +1,22 @@
 """Invariants checked over randomized inputs."""
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     brute_force_arrivals,
+    naive_min_spanner,
     oracle_edge_needers,
     oracle_find_improving_response,
+    oracle_is_minimal_spanner,
+    oracle_is_spanner,
     oracle_mono_label_tree,
     oracle_prune_to_minimal,
 )
 from tempo_ncg import (
     CostBreakdown,
     HostGraph,
+    NotASpanner,
     PreconditionFailed,
     Setting,
     StrategyProfile,
@@ -26,7 +31,10 @@ from tempo_ncg import (
     find_nash_by_search,
     graph_product,
     is_greedy_equilibrium,
+    is_minimal_terminal_spanner,
     is_nash_equilibrium,
+    is_terminal_spanner,
+    min_terminal_spanner,
     mono_label_spanning_tree,
     prune_to_minimal,
     random_host,
@@ -184,8 +192,44 @@ def test_product_edge_identity_on_random_factors(seed1, seed2):
     assert product_profile.total_purchases() == 3 * m1 + 2 * m2
 
 
-@settings(max_examples=40, deadline=None)
+@given(temporal_graphs(), st.data())
+def test_spanner_check_matches_the_brute_force_oracle(graph, data):
+    terminals = data.draw(
+        st.sets(st.sampled_from(graph.nodes), min_size=1), label="terminals"
+    )
+    assert is_terminal_spanner(graph, terminals) == oracle_is_spanner(graph, terminals)
+
+
+# About one host in eight has no one-label spanning tree, hence the count.
+@settings(max_examples=250, deadline=None)
 @given(hosts(max_n=4, max_label=3))
+def test_min_spanner_is_the_first_spanner_of_plain_enumeration(host):
+    size, combo = naive_min_spanner(host)
+    tree = mono_label_spanning_tree(host)
+    if tree is None:
+        assert min_terminal_spanner(host) == TemporalGraph(host.nodes, combo)
+    else:
+        assert min_terminal_spanner(host) == tree
+        assert size == host.node_count - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts(max_n=5, max_label=3), st.data())
+def test_minimality_check_matches_the_brute_force_oracle(host, data):
+    edges = sorted(host.time_edges())
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    graph = TemporalGraph(host.nodes, [e for e, k in zip(edges, keep) if k])
+    if not oracle_is_spanner(graph, host.terminals):
+        with pytest.raises(NotASpanner):
+            is_minimal_terminal_spanner(graph, host.terminals)
+        return
+    assert is_minimal_terminal_spanner(
+        graph, host.terminals
+    ) == oracle_is_minimal_spanner(graph, host.terminals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts(max_n=5, max_label=3))
 def test_single_pass_prune_matches_the_rescan_oracle(host):
     assert prune_to_minimal(host.graph, host.terminals) == oracle_prune_to_minimal(
         host.graph, host.terminals
