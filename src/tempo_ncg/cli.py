@@ -232,6 +232,8 @@ _EXIT_BY_VERDICT = {
               default="json", show_default=True)
 def verify(instance, kind, budget, fmt) -> None:
     """Verify the instance's profile; exit 0/1/2 = holds/refuted/inconclusive."""
+    if budget is not None and budget < 1:
+        _fail_usage("search budgets must be positive")
     inst = _load_or_die(instance)
     profile = _require_profile(inst)
     if EquilibriumKind(kind) is EquilibriumKind.NASH:

@@ -30,6 +30,7 @@ import functools
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (
     IncompleteHost,
@@ -98,7 +99,11 @@ def group_by_label(edges: Iterable[TimeEdge]) -> LabelGroups:
     by_label: dict[int, list[TimeEdge]] = {}
     for edge in edges:
         by_label.setdefault(edge.label, []).append(edge)
-    return tuple((label, tuple(sorted(by_label[label]))) for label in sorted(by_label))
+    # Labels are equal inside a group, so the endpoints alone give canonical order.
+    pair = attrgetter("u", "v")
+    return tuple(
+        (label, tuple(sorted(by_label[label], key=pair))) for label in sorted(by_label)
+    )
 
 
 class TemporalGraph:

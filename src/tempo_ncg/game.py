@@ -34,6 +34,14 @@ terminals reached are thus those G' reaches plus those ``b`` reaches in O
 leaving at L or later: ``reached_before | mask[L][b]``. The mask depends on
 neither the prefix nor the last edge, so one backward sweep over O
 (:func:`core.label_reach_masks`) serves a whole search.
+
+The same fact lets an inner state grow its arrival map from its parent's
+instead of propagating from scratch. Adding (a, b, L) sets ``b`` to L; from
+there only positions that became earlier can lead anywhere new, and only
+over edges of O: a chosen edge, this one included, has both ends reached by
+its label, and arrivals only fall. So a walk in label order from ``b``,
+relaxing the O-edges of each improved node (a small heap of (time, node)),
+yields exactly the map of G' + (a, b, L).
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import math
 from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from types import MappingProxyType
 
 from .core import (
@@ -267,6 +276,15 @@ def _require_node(host: HostGraph, v: NodeId) -> None:
         raise UnknownNode(f"{v!r} is not a node of the host")
 
 
+def _other_edges(s: StrategyProfile, v: NodeId) -> set[TimeEdge]:
+    """Every edge bought by an agent other than ``v``."""
+    others: set[TimeEdge] = set()
+    for agent, edges in s.strategies.items():
+        if agent != v:
+            others |= edges
+    return others
+
+
 def _unreached_count(
     groups, source: NodeId, host: HostGraph, extra: Iterable[TimeEdge] = ()
 ) -> int:
@@ -311,6 +329,25 @@ def _setting_candidates(
     ]
 
 
+def _extend_arrivals(
+    arrival: dict[NodeId, int], adjacency: dict, far: NodeId, label: int
+) -> dict[NodeId, int]:
+    """``arrival`` once an improving edge newly reaches ``far`` at ``label``;
+    ``adjacency`` holds only the other agents' edges (module docstring)."""
+    grown = dict(arrival)
+    grown[far] = label
+    heap = [(label, far)]
+    while heap:
+        t, x = heappop(heap)
+        if t > grown[x]:
+            continue
+        for lab, y in adjacency.get(x, ()):
+            if lab >= t and grown.get(y, _INF) > lab:
+                grown[y] = lab
+                heappush(heap, (lab, y))
+    return grown
+
+
 def find_improving_response(
     v: NodeId,
     s: StrategyProfile,
@@ -338,10 +375,7 @@ def find_improving_response(
     s.validate(host)
     own = s.strategy(v)
     e0 = len(own)
-    others: set[TimeEdge] = set()
-    for agent, edges in s.strategies.items():
-        if agent != v:
-            others |= edges
+    others = _other_edges(s, v)
     groups = group_by_label(others)
     k = host.terminal_count
     current_unreached = _unreached_count(groups, v, host, extra=own)
@@ -363,6 +397,13 @@ def find_improving_response(
     bits = terminal_bits(host.nodes, host.terminals)
     masks = label_reach_masks(groups, bits, {edge.label for edge in candidates})
     start_arrival, _ = propagate_arrivals(groups, v)
+    # node -> [(label, neighbour)] over O, read only by inner states.
+    adjacency: dict[NodeId, list[tuple[int, NodeId]]] = {}
+    if r_max >= 2:
+        for label, edges in groups:
+            for edge in edges:
+                adjacency.setdefault(edge.u, []).append((label, edge.v))
+                adjacency.setdefault(edge.v, []).append((label, edge.u))
     examined = 0
     for r in range(1, r_max + 1):
         # (unreached, r) < current exactly when at least ``need`` terminals
@@ -407,10 +448,9 @@ def find_improving_response(
                             states_examined=examined,
                         )
                 else:
-                    extended = (*chosen, edge)
-                    new_arrival, _ = propagate_arrivals(groups, v, extra=extended)
+                    child = _extend_arrivals(arrival, adjacency, far, edge.label)
                     stack.append((chosen, key, arrival, i + 1))
-                    stack.append((extended, state, new_arrival, 0))
+                    stack.append(((*chosen, edge), state, child, 0))
                     break
     return SearchOutcome(
         response=None,
@@ -423,10 +463,12 @@ def _assert_improving(
     witness: DeviationWitness, s: StrategyProfile, host: HostGraph
 ) -> None:
     # Report invariant: a refutation witness must strictly improve its agent.
-    before = agent_cost(witness.agent, s, host)
-    after = agent_cost(
-        witness.agent, s.with_strategy(witness.agent, witness.strategy), host
-    )
+    # The caller validated ``s``; only the witness strategy is new.
+    v, own, new = witness.agent, s.strategy(witness.agent), witness.strategy
+    StrategyProfile(s.setting, {v: new}).validate(host)
+    groups = group_by_label(_other_edges(s, v))
+    before = CostBreakdown(_unreached_count(groups, v, host, extra=own), len(own))
+    after = CostBreakdown(_unreached_count(groups, v, host, extra=new), len(new))
     if not after < before:
         raise AssertionError(
             f"internal error: witness for {witness.agent!r} does not improve "
@@ -521,11 +563,7 @@ def greedy_improving_response(
         for edge in _setting_candidates(host, v, s.setting, realized):
             if _unreached_count(groups, v, host, extra=(edge,)) < current_unreached:
                 return GreedyMove(action="add", edge=edge, new_strategy=own | {edge})
-    others: set[TimeEdge] = set()
-    for agent, edges in s.strategies.items():
-        if agent != v:
-            others |= edges
-    other_groups = group_by_label(others)
+    other_groups = group_by_label(_other_edges(s, v))
     ordered = sorted(own)
     for edge in ordered:
         remaining = tuple(e for e in ordered if e != edge)

@@ -166,6 +166,16 @@ def test_verify_budget_can_be_inconclusive(runner, tmp_path):
     assert json.loads(result.output)["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_verify_nonpositive_budget_is_a_usage_error(runner, tmp_path, budget):
+    path = gen_file(runner, tmp_path, "cube.json", "hypercube", "--d", "3")
+    result = invoke(runner, "verify", str(path), "--budget", budget)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "budgets must be positive" in result.stderr
+    assert "verdict" not in result.output
+
+
 def test_verify_greedy_kind(runner, tmp_path):
     path = gen_file(runner, tmp_path, "dense.json", "dense-cycle", "--x", "2")
     result = invoke(runner, "verify", str(path), "--kind", "ge")

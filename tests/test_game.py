@@ -36,7 +36,10 @@ from tempo_ncg import (
     social_cost,
     validate_and_normalize_host,
 )
+import tempo_ncg.game
+from oracles import oracle_find_improving_response
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
+from tempo_ncg.game import SearchOutcome
 
 
 def edge(u, v, label):
@@ -265,6 +268,36 @@ def test_search_depth_does_not_depend_on_the_recursion_limit():
     assert outcome.states_examined == sum(
         math.comb(11, j) for r in range(1, 11) for j in range(1, r + 1)
     )
+
+
+@pytest.mark.parametrize("budget", [None, 1, 100])
+def test_deep_searches_match_the_recursive_oracle_on_the_4_cube(budget):
+    # Agents buying 3 or 4 edges search to depth 2 and 3 on a 16-node host.
+    host, profile = hypercube_equilibrium(4)
+    for v in host.nodes:
+        got = find_improving_response(v, profile, host, budget=budget)
+        want = oracle_find_improving_response(v, profile, host, budget=budget)
+        assert (got.response, got.exact, got.states_examined) == (
+            want.response,
+            want.exact,
+            want.states_examined,
+        )
+
+
+def test_witness_self_check_rejects_a_bad_witness(monkeypatch):
+    host, profile = hypercube_equilibrium(2)
+    stale = lambda v, s, h, budget=None: SearchOutcome(s.strategy(v), True, 1)
+    monkeypatch.setattr(tempo_ncg.game, "find_improving_response", stale)
+    with pytest.raises(AssertionError, match="does not improve"):
+        is_nash_equilibrium(profile, host)
+
+    beyond = host.lifetime + 1
+    foreign = lambda v, s, h, budget=None: SearchOutcome(
+        frozenset({edge(v, next(u for u in h.nodes if u != v), beyond)}), True, 1
+    )
+    monkeypatch.setattr(tempo_ncg.game, "find_improving_response", foreign)
+    with pytest.raises(InvalidPurchase):
+        is_nash_equilibrium(profile, host)
 
 
 def test_budget_never_flips_a_verdict():

@@ -42,7 +42,8 @@ from tempo_ncg import (
     two_terminal_ne,
     validate_and_normalize_host,
 )
-from tempo_ncg.core import label_reach_masks
+from tempo_ncg.core import label_reach_masks, propagate_arrivals
+from tempo_ncg.game import _extend_arrivals
 
 
 def _pairs(nodes):
@@ -107,6 +108,37 @@ def test_backward_reach_masks_match_brute_force(graph, data):
             for node in brute_force_arrivals(later, source):
                 want |= bits[node]
             assert by_node[source] == want
+
+
+@given(temporal_graphs(max_n=6), st.data())
+def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
+    """Growing the map edge by edge, as the deviation search does, equals a
+    full propagation over the graph plus the chosen prefix at every step."""
+    groups = graph.label_groups()
+    adjacency = {}
+    for label, edges in groups:
+        for e in edges:
+            adjacency.setdefault(e.u, []).append((label, e.v))
+            adjacency.setdefault(e.v, []).append((label, e.u))
+    source = data.draw(st.sampled_from(graph.nodes), label="source")
+    pool = [TimeEdge(u, v, lab) for u, v in _pairs(graph.nodes) for lab in range(1, 7)]
+    arrival, _ = propagate_arrivals(groups, source)
+    prefix = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="steps")):
+        improving = []
+        for e in pool:
+            au = arrival.get(e.u, float("inf"))
+            av = arrival.get(e.v, float("inf"))
+            if au <= e.label < av:
+                improving.append((e, e.v))
+            elif av <= e.label < au:
+                improving.append((e, e.u))
+        if not improving:
+            break
+        e, far = data.draw(st.sampled_from(improving), label="edge")
+        prefix.append(e)
+        arrival = _extend_arrivals(arrival, adjacency, far, e.label)
+        assert arrival == propagate_arrivals(groups, source, extra=prefix)[0]
 
 
 @given(temporal_graphs(max_n=4), st.data())
