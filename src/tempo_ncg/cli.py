@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -44,19 +46,8 @@ from .poa import build_poa_record, optimum_bounds, records_to_csv, records_to_js
 from .spanner_opt import SpannerSearchConfig, min_terminal_spanner
 from .sweeps import sweep_ownership
 
-GENERATED_FAMILIES = (
-    "dense-cycle",
-    "hypercube",
-    "two-terminal",
-    "scale",
-    "product",
-    "extend-terminal",
-    "extend-nonterminal",
-)
-FAMILIES = GENERATED_FAMILIES + tuple(FIXTURE_BUILDERS)
 
-
-def _fail_usage(message: str) -> None:
+def _fail_usage(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
 
@@ -66,14 +57,51 @@ def _load_or_die(path: str) -> InstanceFile:
         return load_instance(path)
     except (OSError, ValueError, TemporalGameError) as exc:
         _fail_usage(f"cannot load {path}: {exc}")
-        raise AssertionError  # unreachable
 
 
 def _require_profile(instance: InstanceFile) -> StrategyProfile:
     if instance.profile is None:
         _fail_usage(f"instance {instance.name!r} carries no profile")
-    assert instance.profile is not None
     return instance.profile
+
+
+def _dense_cycle(o: dict) -> tuple:
+    built = dense_cycle_instance(o["x"])
+    return (f"dense-cycle-x{o['x']}", built.host, built.profile,
+            "generated: dense cycle family")
+
+
+def _two_terminal(o: dict) -> tuple:
+    host = random_host(o["n"], 2, o["seed"], max_label=o["max_label"],
+                       extra_label_prob=o["extra_label_prob"])
+    return (f"two-terminal-n{o['n']}-s{o['seed']}", host,
+            two_terminal_ne(host, Setting(o["setting"])),
+            "generated: equilibrium on a seeded random host")
+
+
+# family -> (options it requires, builder of (name, host, profile, source)).
+# A builder gets the options, then the instances its file options name.
+_FILE_OPTIONS = ("instance", "left", "right")
+_GENERATORS = {
+    "dense-cycle": (("x",), _dense_cycle),
+    "hypercube": (("d",), lambda o: (
+        f"hypercube-d{o['d']}", *hypercube_equilibrium(o["d"]),
+        "generated: iterated product of single-edge instances")),
+    "two-terminal": (("n",), _two_terminal),
+    "scale": (("instance", "c"), lambda o, b: (
+        f"{b.name}-scale-c{o['c']}", *scale_with_nonterminals(b.host, b.profile, o["c"]),
+        f"generated: {b.name} with {o['c'] - 1} satellites per node")),
+    "product": (("left", "right"), lambda o, a, b: (
+        f"{a.name}-x-{b.name}", *graph_product(a.host, a.profile, b.host, b.profile),
+        f"generated: product of {a.name} and {b.name}")),
+    "extend-terminal": (("instance",), lambda o, b: (
+        f"{b.name}-ext-t", *extend_with_terminal(b.host, b.profile),
+        f"generated: {b.name} plus one terminal")),
+    "extend-nonterminal": (("instance",), lambda o, b: (
+        f"{b.name}-ext-n", *extend_with_nonterminal(b.host, b.profile),
+        f"generated: {b.name} plus one non-terminal")),
+}
+FAMILIES = tuple(_GENERATORS) + tuple(FIXTURE_BUILDERS)
 
 
 def _strategy_triples(edges) -> list[list[object]]:
@@ -127,92 +155,29 @@ def main() -> None:
     default=Setting.GLOBAL.value, show_default=True,
     help="setting for the two-terminal construction",
 )
-@click.option("--instance", "instance_path", type=click.Path(exists=True),
+@click.option("--instance", type=click.Path(exists=True),
               help="input instance for scale / extend families")
 @click.option("--left", type=click.Path(exists=True), help="product left factor")
 @click.option("--right", type=click.Path(exists=True), help="product right factor")
 @click.option("--name", help="override the generated instance name")
 @click.option("--out", type=click.Path(), help="write here instead of stdout")
-def gen(family, x, d, c, n, seed, max_label, extra_label_prob, setting,
-        instance_path, left, right, name, out) -> None:
+def gen(family, name, out, **options) -> None:
     """Generate an instance (host + profile) from a named family."""
     try:
         if family in FIXTURE_BUILDERS:
             instance = get_fixture(family)
-        elif family == "dense-cycle":
-            if x is None:
-                _fail_usage("dense-cycle needs --x")
-            built = dense_cycle_instance(x)
-            instance = InstanceFile(
-                name=f"dense-cycle-x{x}", host=built.host, profile=built.profile,
-                source="generated: dense cycle family",
-            )
-        elif family == "hypercube":
-            if d is None:
-                _fail_usage("hypercube needs --d")
-            host, profile = hypercube_equilibrium(d)
-            instance = InstanceFile(
-                name=f"hypercube-d{d}", host=host, profile=profile,
-                source="generated: iterated product of single-edge instances",
-            )
-        elif family == "two-terminal":
-            if n is None:
-                _fail_usage("two-terminal needs --n")
-            host = random_host(n, 2, seed, max_label=max_label,
-                               extra_label_prob=extra_label_prob)
-            profile = two_terminal_ne(host, Setting(setting))
-            instance = InstanceFile(
-                name=f"two-terminal-n{n}-s{seed}", host=host, profile=profile,
-                source="generated: equilibrium on a seeded random host",
-            )
-        elif family == "scale":
-            if instance_path is None or c is None:
-                _fail_usage("scale needs --instance and --c")
-            base = _load_or_die(instance_path)
-            host, profile = scale_with_nonterminals(
-                base.host, _require_profile(base), c
-            )
-            instance = InstanceFile(
-                name=f"{base.name}-scale-c{c}", host=host, profile=profile,
-                source=f"generated: {base.name} with {c - 1} satellites per node",
-            )
-        elif family == "product":
-            if left is None or right is None:
-                _fail_usage("product needs --left and --right")
-            a, b = _load_or_die(left), _load_or_die(right)
-            host, profile = graph_product(
-                a.host, _require_profile(a), b.host, _require_profile(b)
-            )
-            instance = InstanceFile(
-                name=f"{a.name}-x-{b.name}", host=host, profile=profile,
-                source=f"generated: product of {a.name} and {b.name}",
-            )
-        elif family == "extend-terminal":
-            if instance_path is None:
-                _fail_usage("extend-terminal needs --instance")
-            base = _load_or_die(instance_path)
-            host, profile = extend_with_terminal(base.host, _require_profile(base))
-            instance = InstanceFile(
-                name=f"{base.name}-ext-t", host=host, profile=profile,
-                source=f"generated: {base.name} plus one terminal",
-            )
         else:
-            if instance_path is None:
-                _fail_usage("extend-nonterminal needs --instance")
-            base = _load_or_die(instance_path)
-            host, profile = extend_with_nonterminal(base.host, _require_profile(base))
-            instance = InstanceFile(
-                name=f"{base.name}-ext-n", host=host, profile=profile,
-                source=f"generated: {base.name} plus one non-terminal",
-            )
+            required, build = _GENERATORS[family]
+            if any(options[key] is None for key in required):
+                _fail_usage(f"{family} needs " + " and ".join(f"--{k}" for k in required))
+            bases = [_load_or_die(options[k]) for k in required if k in _FILE_OPTIONS]
+            for base in bases:
+                _require_profile(base)
+            instance = InstanceFile(*build(options, *bases))
     except (TemporalGameError, ValueError) as exc:
         _fail_usage(str(exc))
-        raise AssertionError  # unreachable
     if name:
-        instance = InstanceFile(
-            name=name, host=instance.host, profile=instance.profile,
-            source=instance.source, default_label=instance.default_label,
-        )
+        instance = replace(instance, name=name)
     _emit(dumps_instance(instance), out)
 
 
@@ -271,7 +236,6 @@ def sweep(instance, mode, expected, budget, workers) -> None:
         )
     except SearchTooLarge as exc:
         _fail_usage(str(exc))
-        raise AssertionError  # unreachable
     click.echo(json.dumps({
         "total_assignments": result.total_assignments,
         "survivors": result.survivors,
@@ -326,7 +290,6 @@ def optimum(instance, max_edges, max_subsets) -> None:
                                      max_subsets=max_subsets)
     except ValueError as exc:
         _fail_usage(str(exc))
-        raise AssertionError  # unreachable
     try:
         spanner = min_terminal_spanner(inst.host, config)
     except SearchTooLarge:

@@ -22,6 +22,10 @@ copies: :func:`group_by_label` (label groups for every sweep),
 the one-label spanning tree), :func:`bounded_subsets` (budgeted subset
 enumeration) and :func:`iter_needers` (the nodes that lose a terminal without
 a given edge).
+
+Input is checked once, at the public boundary. Checked data then takes the
+trusted ``TemporalGraph._from_labels`` and ``_trusted_edge``, which are exact
+because pairs stay canonical and every label was checked on the way in.
 """
 
 from __future__ import annotations
@@ -87,6 +91,15 @@ class TimeEdge:
         return f"({self.u},{self.v})@{self.label}"
 
 
+def _trusted_edge(u: NodeId, v: NodeId, label: int) -> TimeEdge:
+    """A time edge from a triple its graph already checked (u < v, label >= 1)."""
+    edge = object.__new__(TimeEdge)
+    object.__setattr__(edge, "u", u)
+    object.__setattr__(edge, "v", v)
+    object.__setattr__(edge, "label", label)
+    return edge
+
+
 def _canonical_pair(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
     return (a, b) if a <= b else (b, a)
 
@@ -134,6 +147,14 @@ class TemporalGraph:
         self._groups: LabelGroups | None = None
         self._hash: int | None = None
 
+    @classmethod
+    def _from_labels(cls, nodes: tuple[NodeId, ...], labels: dict) -> TemporalGraph:
+        """Trusted: sorted node ids; sorted canonical pairs -> sorted labels."""
+        graph = object.__new__(cls)
+        graph._nodes, graph._node_set, graph._labels = nodes, frozenset(nodes), labels
+        graph._groups = graph._hash = None
+        return graph
+
     @property
     def nodes(self) -> tuple[NodeId, ...]:
         return self._nodes
@@ -163,7 +184,7 @@ class TemporalGraph:
     def time_edges(self) -> Iterator[TimeEdge]:
         for (u, v), labels in self._labels.items():
             for label in labels:
-                yield TimeEdge(u, v, label)
+                yield _trusted_edge(u, v, label)
 
     @property
     def time_edge_count(self) -> int:
@@ -204,9 +225,14 @@ class TemporalGraph:
         )
 
     def label_groups(self) -> LabelGroups:
-        """Time edges grouped by ascending label, cached."""
+        """Time edges grouped by ascending label (pairs are in order), cached."""
         if self._groups is None:
-            self._groups = group_by_label(self.time_edges())
+            by_label: dict[int, list[TimeEdge]] = {}
+            for edge in self.time_edges():
+                by_label.setdefault(edge.label, []).append(edge)
+            self._groups = tuple(
+                (label, tuple(by_label[label])) for label in sorted(by_label)
+            )
         return self._groups
 
     def _key(self) -> tuple:

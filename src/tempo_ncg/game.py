@@ -100,6 +100,7 @@ class StrategyProfile:
 
     setting: Setting
     strategies: Mapping[NodeId, frozenset[TimeEdge]]
+    _valid_for = None  # not a field: the host ``validate`` last passed against
 
     def __post_init__(self) -> None:
         cleaned = {
@@ -162,11 +163,16 @@ class StrategyProfile:
     def validate(self, host: HostGraph) -> None:
         """Check agent membership, host membership, and locality.
 
+        A pass is remembered outside the fields (equality, hashing and
+        pickling ignore it), so the same immutable host is not checked twice.
+
         Raises:
             UnknownNode: an agent is not a host node.
             InvalidPurchase: a bought time edge is absent from the host, or a
                 local agent buys a non-incident edge.
         """
+        if self._valid_for is host:
+            return
         for agent, edges in self.strategies.items():
             if agent not in host.graph:
                 raise UnknownNode(f"agent {agent!r} is not a node of the host")
@@ -177,6 +183,7 @@ class StrategyProfile:
                     raise InvalidPurchase(
                         f"local agent {agent!r} cannot buy non-incident edge {edge}"
                     )
+        object.__setattr__(self, "_valid_for", host)
 
 
 @dataclass(frozen=True, order=True)
@@ -487,9 +494,8 @@ def is_nash_equilibrium(
     and no other agent was refuted outright.
     """
     s.validate(host)
-    graph = realized_graph(s, host)
     bits = terminal_bits(host.nodes, host.terminals)
-    masks = reach_masks(graph.label_groups(), bits)
+    masks = reach_masks(group_by_label(s.bought_edges()), bits)
     full = sum(bits.values())
     examined_total = 0
     inconclusive = False

@@ -7,6 +7,9 @@ which keeps nearly-uniform hosts hand-editable. Parsing rejects incomplete
 hosts (a pair with no labels and no default), unknown schema versions, and
 node ids containing the reserved "|" separator. parse and emit are mutually
 inverse on canonical files.
+
+Each label is validated once, as it is read, and the host graph is built
+from the checked pairs by the trusted ``TemporalGraph._from_labels``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import HostGraph, NodeId, TemporalGraph, TimeEdge
-from .errors import IncompleteHost
+from .errors import IncompleteHost, UnknownNode
 from .game import Setting, StrategyProfile
 
 SCHEMA_VERSION = 1
@@ -46,11 +49,6 @@ class InstanceFile:
             self.profile.validate(self.host)
 
 
-def _edge_key(u: NodeId, v: NodeId) -> str:
-    a, b = sorted((u, v))
-    return f"{a}{PAIR_SEPARATOR}{b}"
-
-
 def instance_to_dict(instance: InstanceFile) -> dict:
     """Canonical dict form of an instance (stable key order throughout)."""
     graph = instance.host.graph
@@ -59,7 +57,7 @@ def instance_to_dict(instance: InstanceFile) -> dict:
         labels = list(graph.labels(u, v))
         if instance.default_label is not None and labels == [instance.default_label]:
             continue
-        edges[_edge_key(u, v)] = labels
+        edges[f"{u}{PAIR_SEPARATOR}{v}"] = labels  # pairs are canonical: u < v
     data: dict = {"v": SCHEMA_VERSION, "name": instance.name}
     if instance.source is not None:
         data["source"] = instance.source
@@ -89,12 +87,15 @@ def instance_from_dict(data: dict) -> InstanceFile:
         ValueError: unknown schema version, malformed keys or types, bad ids.
         IncompleteHost: a node pair has no labels and no default applies.
     """
-    if not isinstance(data, dict) or data.get("v") != SCHEMA_VERSION:
+    # JSON true loads as a bool, which Python counts as the int 1.
+    if not isinstance(data, dict) or data.get("v") != SCHEMA_VERSION or data["v"] is True:
         raise ValueError(f"expected schema version {SCHEMA_VERSION}")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("instance needs a nonempty string name")
     source = data.get("source")
+    if source is not None and not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
     host_data = data.get("host")
     if not isinstance(host_data, dict):
         raise ValueError("instance needs a host object")
@@ -105,13 +106,10 @@ def instance_from_dict(data: dict) -> InstanceFile:
     if not all(isinstance(node, str) for node in nodes + terminals):
         raise ValueError("node and terminal ids must be strings")
     default_label = host_data.get("default_label")
-    if default_label is not None and (
-        not isinstance(default_label, int) or default_label < 1
-    ):
+    if default_label is not None and (type(default_label) is not int or default_label < 1):
         raise ValueError(f"default_label must be a positive int, got {default_label!r}")
     node_set = set(nodes)
-    edges: list[TimeEdge] = []
-    listed: set[tuple[NodeId, NodeId]] = set()
+    listed: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
     raw_edges = host_data.get("edges", {})
     if not isinstance(raw_edges, dict):
         raise ValueError("host edges must map 'u|v' keys to label lists")
@@ -126,19 +124,25 @@ def instance_from_dict(data: dict) -> InstanceFile:
             raise ValueError(f"edge key {key!r} uses a node outside the node list")
         if not isinstance(labels, list) or not labels:
             raise ValueError(f"edge {key!r} needs a nonempty label list")
-        listed.add((u, v))
-        edges.extend(TimeEdge(u, v, label) for label in labels)
-    sorted_nodes = sorted(node_set)
-    for i, u in enumerate(sorted_nodes):
-        for v in sorted_nodes[i + 1 :]:
-            if (u, v) in listed:
-                continue
-            if default_label is None:
-                raise IncompleteHost(
-                    f"pair ({u!r}, {v!r}) has no labels and no default_label is set"
-                )
-            edges.append(TimeEdge(u, v, default_label))
-    host = HostGraph(graph=TemporalGraph(nodes, edges), terminals=tuple(terminals))
+        for label in labels:
+            if type(label) is not int or label < 1:
+                TimeEdge(u, v, label)  # raises the time edge's own error
+        listed[u, v] = tuple(labels) if len(labels) == 1 else tuple(sorted(set(labels)))
+    sorted_nodes = tuple(sorted(node_set))
+    if len(listed) < len(sorted_nodes) * (len(sorted_nodes) - 1) // 2:
+        for i, u in enumerate(sorted_nodes):
+            for v in sorted_nodes[i + 1 :]:
+                if (u, v) in listed:
+                    continue
+                if default_label is None:
+                    raise IncompleteHost(
+                        f"pair ({u!r}, {v!r}) has no labels and no default_label is set"
+                    )
+                listed[(u, v)] = (default_label,)
+    if "" in node_set:
+        raise UnknownNode("node ids must be nonempty strings, got ''")
+    graph = TemporalGraph._from_labels(sorted_nodes, dict(sorted(listed.items())))
+    host = HostGraph(graph=graph, terminals=tuple(terminals))
     profile = None
     profile_data = data.get("profile")
     if profile_data is not None:

@@ -207,6 +207,25 @@ def test_verify_malformed_file_exits_2(runner, tmp_path):
     assert result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [(("host", "default_label"), True), (("v",), True), (("source",), 7)],
+    ids=["default-label-true", "version-true", "source-int"],
+)
+def test_verify_boolean_or_non_string_field_exits_2(runner, tmp_path, path, value):
+    data = json.loads(dumps_instance(get_fixture("fig4")))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = invoke(runner, "verify", str(bad))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
 # -- sweep --------------------------------------------------------------------
 
 

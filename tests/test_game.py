@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import pytest
@@ -105,6 +107,65 @@ def test_profile_validation_errors():
         foreign.validate(inst.host)
     # The same strategy is fine when the setting is global.
     foreign.with_setting(Setting.GLOBAL).validate(inst.host)
+
+
+def _count_host_lookups(monkeypatch):
+    """Count ``HostGraph.has_time_edge`` calls: validation makes one per
+    bought edge, and a remembered validation makes none."""
+    calls = []
+    real = HostGraph.has_time_edge
+    monkeypatch.setattr(
+        HostGraph, "has_time_edge", lambda h, e: calls.append(e) or real(h, e)
+    )
+    return calls
+
+
+def test_validation_memo_is_per_host_object():
+    inst = fig5_left_instance()
+    s = inst.profile
+    s.validate(inst.host)
+    # A host that lacks one of the profile's edges still rejects it.
+    dropped = next(iter(s.bought_edges()))
+    graph = inst.host.graph.without_time_edge(dropped)
+    lacking = HostGraph(graph=graph, terminals=inst.host.terminals)
+    with pytest.raises(InvalidPurchase):
+        s.validate(lacking)
+    with pytest.raises(InvalidPurchase):
+        realized_graph(s, lacking)
+    s.validate(inst.host)
+
+
+def test_validation_memo_skips_only_a_repeat_on_the_same_host(monkeypatch):
+    inst = fig5_left_instance()
+    s = inst.profile
+    s.validate(inst.host)
+    calls = _count_host_lookups(monkeypatch)
+    s.validate(inst.host)
+    assert calls == []
+    # An equal host that is another object is checked afresh.
+    twin = HostGraph(graph=inst.host.graph, terminals=inst.host.terminals)
+    s.validate(twin)
+    assert len(calls) == s.total_purchases()
+    # Copies and derived profiles carry no memo.
+    agent = s.buyers[0]
+    for other in (
+        copy.copy(s),
+        pickle.loads(pickle.dumps(s)),
+        s.with_strategy(agent, s.strategy(agent)),
+    ):
+        calls.clear()
+        other.validate(inst.host)
+        assert len(calls) == other.total_purchases()
+
+
+def test_validation_memo_leaves_equality_and_pickle_alone():
+    inst = fig5_left_instance()
+    fresh = fig5_left_instance().profile
+    s = inst.profile
+    before = pickle.dumps(s)
+    s.validate(inst.host)
+    assert pickle.dumps(s) == before
+    assert s == fresh and fresh == s
 
 
 def test_with_strategy_and_relabel_round_trip():

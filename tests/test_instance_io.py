@@ -7,9 +7,11 @@ from tempo_ncg import (
     InstanceFile,
     InvalidPurchase,
     Setting,
+    TemporalGameError,
     StrategyProfile,
     TemporalGraph,
     TimeEdge,
+    UnknownNode,
     dense_cycle_instance,
     dumps_instance,
     hypercube_equilibrium,
@@ -205,3 +207,88 @@ def test_save_and_load_files(tmp_path):
     back = load_instance(path)
     assert back.host.graph == inst.host.graph
     assert back.profile == inst.profile
+
+
+def test_rejects_boolean_default_label():
+    # JSON true is a Python bool, which counts as the int 1. Accepted, it was
+    # emitted with "edges": {}, and that file could not be read back.
+    data = instance_to_dict(pair_instance())
+    data["host"]["edges"] = {"a|b": [1]}
+    data["host"]["default_label"] = True
+    with pytest.raises(ValueError, match="default_label"):
+        instance_from_dict(data)
+
+
+def test_rejects_boolean_schema_version():
+    data = instance_to_dict(pair_instance())
+    data["v"] = True
+    with pytest.raises(ValueError, match="schema version"):
+        instance_from_dict(data)
+
+
+def test_rejects_non_string_source():
+    data = instance_to_dict(pair_instance())
+    data["source"] = 7
+    with pytest.raises(ValueError, match="source"):
+        instance_from_dict(data)
+
+
+def test_rejects_empty_node_id_covered_by_the_default_label():
+    data = instance_to_dict(pair_instance())
+    data["host"]["nodes"].append("")
+    data["host"]["default_label"] = 1
+    with pytest.raises(UnknownNode):
+        instance_from_dict(data)
+
+
+_BAD_VALUES = [None, True, False, 0, -1, 7, 1.5, "", "x", "a|b", [], [1], ["x"], {}]
+
+
+def _substitutions(node, path=()):
+    """Every (path, value) single substitution of a JSON tree: each leaf and
+    each container is replaced by each bad value, and each object key is
+    renamed to a bad key."""
+    for value in _BAD_VALUES:
+        yield path, value
+    if isinstance(node, (dict, list)):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in list(children):
+            yield from _substitutions(child, path + (key,))
+            if isinstance(node, dict):
+                for bad_key in ("", "x", "v1|", "v4|v1", "v1|v1", "v1|v2|v3"):
+                    yield path + ((key, bad_key),), None
+
+
+def _substituted(data, path, value):
+    data = json.loads(json.dumps(data))
+    if not path:
+        return value
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    last = path[-1]
+    if isinstance(last, tuple):
+        old, new = last
+        target[new] = target.pop(old)
+    else:
+        target[last] = value
+    return data
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5-right"])
+def test_single_substitutions_raise_only_input_errors(name):
+    # Every malformed variant ends in ValueError or TemporalGameError (the
+    # CLI's exit 2), never in another exception; valid ones still round-trip.
+    # fig5-right carries the default_label shorthand.
+    data = instance_to_dict(get_fixture(name))
+    data["source"] = "fixture"
+    count = 0
+    for path, value in _substitutions(data):
+        variant = _substituted(data, path, value)
+        count += 1
+        try:
+            inst = instance_from_dict(variant)
+        except (ValueError, TemporalGameError):
+            continue
+        assert loads_instance(dumps_instance(inst)) == inst
+    assert count > 500

@@ -16,6 +16,7 @@ from oracles import (
 from tempo_ncg import (
     CostBreakdown,
     HostGraph,
+    InstanceFile,
     NotASpanner,
     PreconditionFailed,
     Setting,
@@ -25,15 +26,19 @@ from tempo_ncg import (
     Verdict,
     connected_components,
     direct_terminal_profile,
+    dumps_instance,
     earliest_arrivals,
     edge_needers,
     find_improving_response,
     find_nash_by_search,
     graph_product,
+    instance_from_dict,
+    instance_to_dict,
     is_greedy_equilibrium,
     is_minimal_terminal_spanner,
     is_nash_equilibrium,
     is_terminal_spanner,
+    loads_instance,
     min_terminal_spanner,
     mono_label_spanning_tree,
     prune_to_minimal,
@@ -42,7 +47,7 @@ from tempo_ncg import (
     two_terminal_ne,
     validate_and_normalize_host,
 )
-from tempo_ncg.core import label_reach_masks, propagate_arrivals
+from tempo_ncg.core import group_by_label, label_reach_masks, propagate_arrivals
 from tempo_ncg.game import _extend_arrivals
 
 
@@ -354,3 +359,51 @@ def test_deviation_search_matches_the_recursive_oracle(case, cap):
                 want.exact,
                 want.states_examined,
             )
+
+
+@st.composite
+def instance_files(draw):
+    """Random hosts as instance files, with long node ids (``v1`` sorts before
+    ``v10`` as a tuple, after it inside a "u|v" key) and, sometimes, the
+    ``default_label`` shorthand."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    host = random_host(
+        n,
+        draw(st.integers(min_value=1, max_value=n)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+        max_label=draw(st.sampled_from([None, 2, 3])),
+        extra_label_prob=draw(st.sampled_from([0.0, 0.4])),
+    )
+    ids = draw(st.permutations(range(1, 30)))[:n]
+    mapping = {node: f"v{i}" for node, i in zip(host.nodes, ids)}
+    host = HostGraph(
+        graph=host.graph.relabel_nodes(mapping),
+        terminals=tuple(mapping[t] for t in host.terminals),
+    )
+    default = draw(st.none() | st.integers(min_value=1, max_value=max(host.lifetime, 1)))
+    return InstanceFile(name="random", host=host, default_label=default)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_files(), st.randoms(use_true_random=False))
+def test_parse_and_label_groups_match_the_checked_constructor(inst, rng):
+    want = TemporalGraph(inst.host.nodes, list(inst.host.time_edges()))
+    graph = loads_instance(dumps_instance(inst)).host.graph
+    assert graph == want
+    assert hash(graph) == hash(want)
+    assert list(graph.pairs()) == list(want.pairs())
+    assert graph.label_groups() == group_by_label(graph.time_edges())
+    assert want.label_groups() == group_by_label(want.time_edges())
+
+    # Valid but non-canonical files parse to the same graph: keys shuffled,
+    # label lists unsorted and with repeats.
+    data = instance_to_dict(inst)
+    items = list(data["host"]["edges"].items())
+    rng.shuffle(items)
+    data["host"]["edges"] = {
+        key: rng.sample(labels + labels[:1], len(labels) + 1) for key, labels in items
+    }
+    shuffled = instance_from_dict(data).host.graph
+    assert shuffled == want
+    assert list(shuffled.pairs()) == list(want.pairs())
+    assert shuffled.label_groups() == want.label_groups()
