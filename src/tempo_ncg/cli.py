@@ -262,6 +262,8 @@ def dynamics(instance, max_rounds, setting) -> None:
 
     Without a profile, starts from everyone buying direct terminal edges.
     """
+    if max_rounds < 0:
+        _fail_usage("--max-rounds must be nonnegative")
     inst = _load_or_die(instance)
     start = inst.profile or direct_terminal_profile(inst.host, Setting(setting))
     result = greedy_dynamics(start, inst.host, max_rounds=max_rounds)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Reversible, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -182,6 +182,7 @@ class TemporalGraph:
         return self._labels.get(_canonical_pair(a, b), ())
 
     def time_edges(self) -> Iterator[TimeEdge]:
+        """Every time edge, already in canonical (u, v, label) order."""
         for (u, v), labels in self._labels.items():
             for label in labels:
                 yield _trusted_edge(u, v, label)
@@ -449,17 +450,19 @@ def propagate_arrivals(
 
 
 def reach_masks(
-    groups: Iterable[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
+    groups: Reversible[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
 ) -> dict[NodeId, int]:
     """Backward reach sweep: ``masks[x]`` ORs ``bits`` over every node that
     ``x`` reaches from time 0, for all sources in one pass.
 
-    ``bits`` must map every node; a node always reaches itself. Labels are
-    processed in descending order and, inside one label, a fixed point
-    spreads masks over each connected component of that label's edges.
+    ``groups`` must be sorted by ascending label (as from
+    :meth:`TemporalGraph.label_groups` or :func:`group_by_label`); the sweep
+    walks them in reverse. ``bits`` must map every node; a node always
+    reaches itself. Inside one label, a fixed point spreads masks over each
+    connected component of that label's edges.
     """
     masks = dict(bits)
-    for _, edges in sorted(groups, key=lambda group: group[0], reverse=True):
+    for _, edges in reversed(groups):
         changed = True
         while changed:
             changed = False
@@ -506,9 +509,10 @@ def terminal_bits(
 
 
 def spans_terminals(
-    groups: Iterable[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
+    groups: Reversible[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
 ) -> bool:
-    """Whether every node reaches every :func:`terminal_bits` terminal."""
+    """Whether every node reaches every :func:`terminal_bits` terminal;
+    ``groups`` ascend by label, as for :func:`reach_masks`."""
     full = sum(bits.values())
     return all(mask == full for mask in reach_masks(groups, bits).values())
 
@@ -640,7 +644,7 @@ def is_minimal_terminal_spanner(
     terminal_set = _check_terminals(graph, terminals)
     if not is_terminal_spanner(graph, terminal_set):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
-    for edge in sorted(graph.time_edges()):
+    for edge in graph.time_edges():
         if next(iter_needers(graph, edge, terminal_set), None) is None:
             return False, edge
     return True, None

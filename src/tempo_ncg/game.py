@@ -488,10 +488,11 @@ def is_nash_equilibrium(
 ) -> VerificationReport:
     """Exact NE verification (subject to ``budget``).
 
-    Agents missing a terminal are refuted immediately with a direct-edge add;
-    all others run the exact improving-response search with cap = |S_v| - 1.
-    The verdict is inconclusive only if some agent's search hit the budget
-    and no other agent was refuted outright.
+    Agents missing a terminal are refuted immediately with a direct-edge add.
+    Of the others, agents that buy nothing already pay the least cost (0, 0)
+    and are skipped; buyers run the exact improving-response search with
+    cap = |S_v| - 1. The verdict is inconclusive only if some agent's search
+    hit the budget and no other agent was refuted outright.
     """
     s.validate(host)
     bits = terminal_bits(host.nodes, host.terminals)
@@ -511,6 +512,8 @@ def is_nash_equilibrium(
                 witness=witness,
                 states_examined=examined_total,
             )
+        if v not in s.strategies:
+            continue
         outcome = find_improving_response(v, s, host, budget=budget)
         examined_total += outcome.states_examined
         if outcome.response is not None:
@@ -602,8 +605,14 @@ def greedy_dynamics(
     """Round-robin greedy dynamics until a silent round or ``max_rounds``.
 
     On convergence the final profile is re-verified by is_greedy_equilibrium
-    and the report attached. Non-convergence is reported, not raised.
+    and the report attached. Non-convergence is reported, not raised;
+    ``max_rounds=0`` runs no round and reports exactly that.
+
+    Raises:
+        ValueError: ``max_rounds`` is negative.
     """
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
     s0.validate(host)
     current = s0
     for round_index in range(1, max_rounds + 1):

@@ -121,7 +121,7 @@ def prune_to_minimal(
         raise NotASpanner("input graph does not reach all terminals from all nodes")
     by_label = {label: list(edges) for label, edges in graph.label_groups()}
     bits = terminal_bits(graph.nodes, terminal_set)
-    for edge in sorted(graph.time_edges()):
+    for edge in graph.time_edges():
         edges = by_label[edge.label]
         at = edges.index(edge)
         del edges[at]
@@ -150,7 +150,7 @@ def ge_from_minimal_spanner(
     if not is_terminal_spanner(graph, terminal_set):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
     strategies: dict[NodeId, set[TimeEdge]] = {}
-    for edge in sorted(graph.time_edges()):
+    for edge in graph.time_edges():
         needer = next(iter_needers(graph, edge, terminal_set), None)
         if needer is None:
             raise NotMinimal(

@@ -8,6 +8,13 @@ without losing a terminal always improves by doing so, so only assignments
 giving every edge to a node that needs it can be equilibria. Needing is a
 property of the target graph alone, so the filter is per-edge and the
 surviving space is a cartesian product.
+
+Every surviving assignment realizes the same spanning target and gives each
+edge exactly one owner, so the other agents' edges are exactly the target
+minus the agent's own set ``S``. An agent's best response therefore depends
+on ``(agent, S)`` alone, and a sweep searches each such pair once, however
+many assignments share it. Agents that buy nothing need no search: the
+target spans, so they already pay the least possible cost (0, 0).
 """
 
 from __future__ import annotations
@@ -28,8 +35,14 @@ from .core import (
     spans_terminals,
     terminal_bits,
 )
-from .errors import InvalidPurchase, SearchTooLarge
-from .game import Setting, StrategyProfile, Verdict, is_nash_equilibrium
+from .errors import InvalidPurchase, PreconditionFailed, SearchTooLarge
+from .game import (
+    DeviationWitness,
+    Setting,
+    StrategyProfile,
+    _assert_improving,
+    find_improving_response,
+)
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,7 @@ def edge_needers(
     """
     return {
         edge: tuple(iter_needers(target, edge, host.terminal_set))
-        for edge in sorted(target.time_edges())
+        for edge in target.time_edges()
     }
 
 
@@ -81,10 +94,28 @@ def _verify_chunk(
     edges: tuple[TimeEdge, ...],
     owner_tuples: list[tuple[NodeId, ...]],
 ) -> list[StrategyProfile]:
+    """The equilibria among ``owner_tuples``, in order.
+
+    ``edges`` reach every terminal from every host node, so an assignment
+    is an equilibrium exactly when no buyer has an improving response
+    (module docstring).
+    """
+    stable: dict[tuple[NodeId, frozenset[TimeEdge]], bool] = {}
     found = []
     for owners in owner_tuples:
         profile = _profile_from_owners(setting, edges, owners)
-        if is_nash_equilibrium(profile, host).verdict is Verdict.EQUILIBRIUM:
+        profile.validate(host)
+        for agent, own in profile.strategies.items():
+            key = (agent, own)
+            if key not in stable:
+                response = find_improving_response(agent, profile, host).response
+                if response is not None:
+                    witness = DeviationWitness(agent=agent, strategy=response)
+                    _assert_improving(witness, profile, host)
+                stable[key] = response is None
+            if not stable[key]:
+                break
+        else:
             found.append(profile)
     return found
 
@@ -102,10 +133,14 @@ def sweep_ownership(
     are merged in enumeration order.
 
     Raises:
+        PreconditionFailed: the target's nodes are not the host's, as they
+            are for every realized graph.
         InvalidPurchase: the target uses an edge the host does not offer.
         SearchTooLarge: survivors exceed ``budget``.
     """
-    edges = tuple(sorted(target.time_edges()))
+    if target.nodes != host.nodes:
+        raise PreconditionFailed("the target's nodes must be the host's nodes")
+    edges = tuple(target.time_edges())
     for edge in edges:
         if not host.has_time_edge(edge):
             raise InvalidPurchase(f"target edge {edge} is not offered by the host")

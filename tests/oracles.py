@@ -6,15 +6,28 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Two references are earlier versions of a library routine, kept so a faster
-rewrite can be checked against them exactly: the restart-loop prune and the
-recursive deviation search (which does use the library's reach kernel).
+Three references are earlier versions of a library routine, kept so a faster
+rewrite can be checked against them exactly: the restart-loop prune, the
+recursive deviation search (which does use the library's reach kernel) and
+the ownership sweep that verifies every assignment in full.
 """
 
 import itertools
 import math
 
-from tempo_ncg import CostBreakdown, SearchOutcome, Setting, TemporalGraph
+from tempo_ncg import (
+    CostBreakdown,
+    SearchOutcome,
+    SearchTooLarge,
+    Setting,
+    StrategyProfile,
+    SweepResult,
+    TemporalGraph,
+    Verdict,
+    edge_needers,
+    is_nash_equilibrium,
+    is_terminal_spanner,
+)
 from tempo_ncg.core import group_by_label, propagate_arrivals
 
 
@@ -270,4 +283,33 @@ def oracle_find_improving_response(v, s, host, cap=None, budget=None):
             return SearchOutcome(response=None, exact=False, states_examined=examined)
     return SearchOutcome(
         response=None, exact=cap >= exact_threshold, states_examined=examined
+    )
+
+
+def oracle_sweep_ownership(host, target, mode, budget=None):
+    """The ownership sweep as first written: a full ``is_nash_equilibrium``
+    for every assignment that survives the needer pre-filter, with no memo.
+    Same contract as ``sweep_ownership`` with one worker."""
+    edges = sorted(target.time_edges())
+    total = (2 if mode is Setting.LOCAL else host.node_count) ** len(edges)
+    if not is_terminal_spanner(target, host.terminals):
+        return SweepResult(total_assignments=total, survivors=0, equilibria=())
+    needers = edge_needers(target, host)
+    choices = [
+        [v for v in (e.pair if mode is Setting.LOCAL else host.nodes) if v in needers[e]]
+        for e in edges
+    ]
+    survivors = math.prod(len(choice) for choice in choices)
+    if budget is not None and survivors > budget:
+        raise SearchTooLarge(f"{survivors} surviving assignments exceed {budget}")
+    equilibria = []
+    for owners in itertools.product(*choices):
+        strategies = {}
+        for owner, e in zip(owners, edges):
+            strategies.setdefault(owner, set()).add(e)
+        profile = StrategyProfile(mode, strategies)
+        if is_nash_equilibrium(profile, host).verdict is Verdict.EQUILIBRIUM:
+            equilibria.append(profile)
+    return SweepResult(
+        total_assignments=total, survivors=survivors, equilibria=tuple(equilibria)
     )

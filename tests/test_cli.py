@@ -281,6 +281,15 @@ def test_dynamics_budget_exhaustion_exits_2(runner, tmp_path):
     assert data["report"] is None
 
 
+def test_dynamics_negative_max_rounds_is_a_usage_error(runner, tmp_path):
+    path = gen_file(runner, tmp_path, "left.json", "fig5-left")
+    result = invoke(runner, "dynamics", str(path), "--max-rounds", "-3")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "--max-rounds must be nonnegative" in result.stderr
+    assert '"rounds"' not in result.output
+
+
 # -- optimum ------------------------------------------------------------------
 
 

@@ -345,6 +345,21 @@ def test_deep_searches_match_the_recursive_oracle_on_the_4_cube(budget):
         )
 
 
+def test_nash_check_searches_only_buyers(monkeypatch):
+    inst = fig5_left_instance()
+    searched = []
+
+    def recording(v, s, h, budget=None):
+        searched.append(v)
+        return find_improving_response(v, s, h, budget=budget)
+
+    monkeypatch.setattr(tempo_ncg.game, "find_improving_response", recording)
+    report = is_nash_equilibrium(inst.profile, inst.host)
+    assert report.verdict is Verdict.EQUILIBRIUM
+    assert len(inst.profile.buyers) < inst.host.node_count
+    assert tuple(searched) == inst.profile.buyers
+
+
 def test_witness_self_check_rejects_a_bad_witness(monkeypatch):
     host, profile = hypercube_equilibrium(2)
     stale = lambda v, s, h, budget=None: SearchOutcome(s.strategy(v), True, 1)
@@ -439,6 +454,13 @@ def test_dynamics_can_time_out():
     result = greedy_dynamics(start, inst.host, max_rounds=0)
     assert not result.converged
     assert result.report is None
+
+
+def test_dynamics_rejects_negative_rounds():
+    inst = fig4_instance()
+    start = direct_terminal_profile(inst.host, Setting.GLOBAL)
+    with pytest.raises(ValueError, match="max_rounds"):
+        greedy_dynamics(start, inst.host, max_rounds=-3)
 
 
 # --- necessary terminals ------------------------------------------------------

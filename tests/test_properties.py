@@ -12,6 +12,7 @@ from oracles import (
     oracle_is_spanner,
     oracle_mono_label_tree,
     oracle_prune_to_minimal,
+    oracle_sweep_ownership,
 )
 from tempo_ncg import (
     CostBreakdown,
@@ -19,6 +20,7 @@ from tempo_ncg import (
     InstanceFile,
     NotASpanner,
     PreconditionFailed,
+    SearchTooLarge,
     Setting,
     StrategyProfile,
     TemporalGraph,
@@ -44,6 +46,8 @@ from tempo_ncg import (
     prune_to_minimal,
     random_host,
     reach_set,
+    realized_graph,
+    sweep_ownership,
     two_terminal_ne,
     validate_and_normalize_host,
 )
@@ -174,6 +178,11 @@ def test_reconstructed_paths_are_valid(graph):
                 assert step.touches(at)
                 at = step.other(at)
             assert at == target
+
+
+@given(temporal_graphs())
+def test_time_edges_come_in_canonical_order(graph):
+    assert list(graph.time_edges()) == sorted(graph.time_edges())
 
 
 @given(temporal_graphs(max_label=1))
@@ -407,3 +416,54 @@ def test_parse_and_label_groups_match_the_checked_constructor(inst, rng):
     assert shuffled == want
     assert list(shuffled.pairs()) == list(want.pairs())
     assert shuffled.label_groups() == want.label_groups()
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small host, a setting and a target realized graph: from
+    ``two_terminal_ne``, from the direct-terminal profile, or a random
+    minimal spanner (grown from shuffled host edges, then pruned in another
+    random order), sometimes with one unneeded edge more."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    kind = draw(st.sampled_from(["two-terminal", "direct", "random-spanning"]))
+    k = 2 if kind == "two-terminal" else draw(st.integers(min_value=1, max_value=n))
+    max_label = draw(st.sampled_from([2, 3, None]))
+    host = random_host(n, k, draw(st.integers(0, 10_000)), max_label=max_label)
+    mode = draw(st.sampled_from(list(Setting)))
+    if kind == "two-terminal":
+        try:
+            return host, realized_graph(two_terminal_ne(host, mode), host), mode
+        except PreconditionFailed:
+            assume(False)
+    if kind == "direct":
+        return host, realized_graph(direct_terminal_profile(host, mode), host), mode
+
+    def spans(edges):
+        return is_terminal_spanner(TemporalGraph(host.nodes, edges), host.terminals)
+
+    pool = draw(st.permutations(host.sorted_time_edges))
+    size = next(i for i in range(1, len(pool) + 1) if spans(pool[:i]))
+    edges = list(pool[:size])
+    for e in draw(st.permutations(edges)):
+        rest = [x for x in edges if x != e]
+        if spans(rest):
+            edges = rest
+    extra = draw(st.integers(min_value=0, max_value=1))
+    return host, TemporalGraph(host.nodes, [*edges, *pool[size : size + extra]]), mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_ownership_sweep_matches_the_unmemoized_oracle(case):
+    host, target, mode = case
+    budget = 200
+    try:
+        want = oracle_sweep_ownership(host, target, mode, budget=budget)
+    except SearchTooLarge:
+        with pytest.raises(SearchTooLarge):
+            sweep_ownership(host, target, mode, budget=budget)
+        return
+    got = sweep_ownership(host, target, mode, budget=budget)
+    assert got.total_assignments == want.total_assignments
+    assert got.survivors == want.survivors
+    assert got.equilibria == want.equilibria

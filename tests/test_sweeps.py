@@ -1,16 +1,21 @@
 """Ownership sweeps over fixed realized graphs."""
 
+import itertools
+
 import pytest
 
+import tempo_ncg.sweeps
 from tempo_ncg import (
     HostGraph,
     InvalidPurchase,
+    PreconditionFailed,
     SearchTooLarge,
     Setting,
     TemporalGraph,
     TimeEdge,
     Verdict,
     edge_needers,
+    find_improving_response,
     find_nash_by_search,
     is_nash_equilibrium,
     realized_graph,
@@ -106,6 +111,32 @@ def test_sweep_local_fixture_graph_has_no_global_ownership():
     assert result.equilibria == ()
 
 
+def test_sweep_searches_each_agent_and_own_set_once(monkeypatch):
+    inst = fig5_right_instance()
+    target = realized_graph(inst.profile, inst.host)
+    searched = []
+
+    def recording(v, s, host):
+        searched.append((v, s.strategy(v)))
+        return find_improving_response(v, s, host)
+
+    monkeypatch.setattr(tempo_ncg.sweeps, "find_improving_response", recording)
+    result = sweep_ownership(inst.host, target, Setting.GLOBAL)
+    assert result.survivors == 768
+    assert result.equilibria == ()
+    # One search per (agent, own set) met before an earlier buyer of the same
+    # assignment failed; verifying every survivor in full made 1,104.
+    assert len(searched) == len(set(searched)) == 47
+    needers = edge_needers(target, inst.host)
+    keys = set()
+    for owners in itertools.product(*needers.values()):
+        for agent in set(owners):
+            keys.add(
+                (agent, frozenset(e for e, o in zip(needers, owners) if o == agent))
+            )
+    assert set(searched) <= keys
+
+
 # -- short circuits and errors ----------------------------------------------
 
 
@@ -118,6 +149,16 @@ def test_sweep_non_spanner_target_short_circuits():
     assert result.total_assignments == 4**4
     assert result.survivors == 0
     assert result.equilibria == ()
+
+
+def test_sweep_rejects_a_target_on_other_nodes():
+    inst = fig4_instance()
+    target = realized_graph(inst.profile, inst.host)
+    fewer = TemporalGraph(inst.host.nodes[1:], ())
+    more = TemporalGraph((*inst.host.nodes, "extra"), target.time_edges())
+    for wrong in (fewer, more):
+        with pytest.raises(PreconditionFailed):
+            sweep_ownership(inst.host, wrong, Setting.GLOBAL)
 
 
 def test_sweep_rejects_edge_the_host_does_not_offer():
