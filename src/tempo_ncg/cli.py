@@ -227,6 +227,10 @@ def verify(instance, kind, budget, fmt) -> None:
 @click.option("--workers", type=int, default=1, show_default=True)
 def sweep(instance, mode, expected, budget, workers) -> None:
     """Enumerate ownerships of the profile's realized graph and verify each."""
+    if budget is not None and budget < 1:
+        _fail_usage("search budgets must be positive")
+    if workers < 1:
+        _fail_usage("--workers must be positive")
     inst = _load_or_die(instance)
     profile = _require_profile(inst)
     target = realized_graph(profile, inst.host)

@@ -42,6 +42,24 @@ over edges of O: a chosen edge, this one included, has both ends reached by
 its label, and arrivals only fall. So a walk in label order from ``b``,
 relaxing the O-edges of each improved node (a small heap of (time, node)),
 yields exactly the map of G' + (a, b, L).
+
+The greedy check tests a single add with the same lookup (O is then the
+whole realized graph G and C is empty) and a single remove by repairing a
+subtree. The predecessors of one propagation over G form an earliest-arrival
+tree from ``v``: a node's arrival is set once, by an edge whose other end
+already arrived no later, so the tree path to every node is a temporal path
+with its earliest arrival. Dropping an edge ``e`` that another agent also
+buys leaves G as it is, and dropping one that is no node's tree edge keeps
+every tree path. Otherwise ``e`` is the tree edge of one node ``c``; every
+node outside the subtree T below ``c`` keeps its tree path, hence its
+arrival. Take a walk in G - e that reaches a node of T and its last step
+into T, over (x, y, L) with x outside T: the walk is at ``x`` by time L, so
+``arrival[x] <= L``, and after the step it stays in T. Conversely, the tree
+path to ``x``, that step and any walk inside T after it avoid ``e``, which
+joins T to the outside. So seeding ``y`` at L for every edge other than
+``e`` with ``x`` outside T, ``y`` in T and ``arrival[x] <= L``, and walking
+inside T in label order, re-reaches exactly the nodes of T that G - e
+reaches. The terminals of T left over are those the removal loses.
 """
 
 from __future__ import annotations
@@ -50,11 +68,13 @@ import math
 from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import (
     HostGraph,
+    LabelGroups,
     NodeId,
     TemporalGraph,
     TimeEdge,
@@ -336,6 +356,16 @@ def _setting_candidates(
     ]
 
 
+def _adjacency(groups: LabelGroups) -> dict[NodeId, list[tuple[int, NodeId]]]:
+    """node -> [(label, neighbour)] over the grouped edges, in label order."""
+    adjacency: dict[NodeId, list[tuple[int, NodeId]]] = {}
+    for label, edges in groups:
+        for edge in edges:
+            adjacency.setdefault(edge.u, []).append((label, edge.v))
+            adjacency.setdefault(edge.v, []).append((label, edge.u))
+    return adjacency
+
+
 def _extend_arrivals(
     arrival: dict[NodeId, int], adjacency: dict, far: NodeId, label: int
 ) -> dict[NodeId, int]:
@@ -404,13 +434,8 @@ def find_improving_response(
     bits = terminal_bits(host.nodes, host.terminals)
     masks = label_reach_masks(groups, bits, {edge.label for edge in candidates})
     start_arrival, _ = propagate_arrivals(groups, v)
-    # node -> [(label, neighbour)] over O, read only by inner states.
-    adjacency: dict[NodeId, list[tuple[int, NodeId]]] = {}
-    if r_max >= 2:
-        for label, edges in groups:
-            for edge in edges:
-                adjacency.setdefault(edge.u, []).append((label, edge.v))
-                adjacency.setdefault(edge.v, []).append((label, edge.u))
+    # Over O only, and read only by inner states.
+    adjacency = _adjacency(groups) if r_max >= 2 else {}
     examined = 0
     for r in range(1, r_max + 1):
         # (unreached, r) < current exactly when at least ``need`` terminals
@@ -553,6 +578,129 @@ def direct_terminal_profile(host: HostGraph, setting: Setting) -> StrategyProfil
     return StrategyProfile(setting=setting, strategies=strategies)
 
 
+class _RealizedIndex(NamedTuple):
+    """One profile's realized graph, shared by every agent's greedy check."""
+
+    groups: LabelGroups
+    adjacency: dict[NodeId, list[tuple[int, NodeId]]]
+    bits: dict[NodeId, int]
+    full: int
+    shared: frozenset[TimeEdge]  # edges that two or more agents buy
+
+
+def _realized_index(s: StrategyProfile, host: HostGraph) -> _RealizedIndex:
+    s.validate(host)
+    bought: set[TimeEdge] = set()
+    shared: set[TimeEdge] = set()
+    for edges in s.strategies.values():
+        shared |= bought & edges
+        bought |= edges
+    groups = group_by_label(bought)
+    bits = terminal_bits(host.nodes, host.terminals)
+    return _RealizedIndex(
+        groups, _adjacency(groups), bits, sum(bits.values()), frozenset(shared)
+    )
+
+
+def _tree_children(
+    predecessor: Mapping[NodeId, TimeEdge],
+) -> dict[NodeId, list[NodeId]]:
+    children: dict[NodeId, list[NodeId]] = {}
+    for node, edge in predecessor.items():
+        children.setdefault(edge.other(node), []).append(node)
+    return children
+
+
+def _lost_terminals(
+    e: TimeEdge,
+    arrival: Mapping[NodeId, int],
+    predecessor: Mapping[NodeId, TimeEdge],
+    children: Mapping[NodeId, list[NodeId]],
+    index: _RealizedIndex,
+) -> int:
+    """Bits of the terminals the source stops reaching once its buyer drops
+    ``e``: 0 when another agent also buys ``e`` or it is no node's tree edge,
+    else those of the subtree below ``e`` that the repair walk misses
+    (module docstring)."""
+    if e in index.shared:
+        return 0
+    if predecessor.get(e.v) == e:
+        top = e.v
+    elif predecessor.get(e.u) == e:
+        top = e.u
+    else:
+        return 0
+    bits, adjacency = index.bits, index.adjacency
+    subtree = {top}
+    stack = [top]
+    lost = 0
+    while stack:
+        x = stack.pop()
+        lost |= bits[x]
+        for child in children.get(x, ()):
+            subtree.add(child)
+            stack.append(child)
+    if not lost:
+        return 0
+    dropped = (top, e.other(top), e.label)
+    heap = [
+        (lab, y)
+        for y in subtree
+        for lab, x in adjacency[y]
+        if x not in subtree
+        and arrival.get(x, _INF) <= lab
+        and (y, x, lab) != dropped
+    ]
+    heapify(heap)
+    settled: set[NodeId] = set()
+    while heap and lost:
+        t, y = heappop(heap)
+        if y in settled:
+            continue
+        settled.add(y)
+        lost &= ~bits[y]
+        for lab, z in adjacency[y]:
+            if lab >= t and z in subtree and z not in settled:
+                heappush(heap, (lab, z))
+    return lost
+
+
+def _greedy_move(
+    v: NodeId, s: StrategyProfile, host: HostGraph, index: _RealizedIndex
+) -> GreedyMove | None:
+    """:func:`greedy_improving_response` over a prebuilt index of ``s``."""
+    own = s.strategy(v)
+    arrival, predecessor = propagate_arrivals(
+        index.groups, v, track_predecessors=True
+    )
+    bits = index.bits
+    reached = 0
+    for node in arrival:
+        reached |= bits[node]
+    if reached != index.full:
+        candidates = _setting_candidates(host, v, s.setting, ())
+        masks = label_reach_masks(
+            index.groups, bits, {edge.label for edge in candidates}
+        )
+        for edge in candidates:
+            # Only an edge that improves the map can reach anything new.
+            au = arrival.get(edge.u, _INF)
+            av = arrival.get(edge.v, _INF)
+            if au <= edge.label < av:
+                far = edge.v
+            elif av <= edge.label < au:
+                far = edge.u
+            else:
+                continue
+            if masks[edge.label][far] & ~reached:
+                return GreedyMove(action="add", edge=edge, new_strategy=own | {edge})
+    children = _tree_children(predecessor) if own else {}
+    for edge in sorted(own):
+        if not _lost_terminals(edge, arrival, predecessor, children, index):
+            return GreedyMove(action="remove", edge=edge, new_strategy=own - {edge})
+    return None
+
+
 def greedy_improving_response(
     v: NodeId, s: StrategyProfile, host: HostGraph
 ) -> GreedyMove | None:
@@ -561,34 +709,32 @@ def greedy_improving_response(
     An add must newly reach at least one terminal; a remove must lose none.
     Those conditions are exactly strict lexicographic cost improvement for
     single-edge changes. Swaps are intentionally not considered.
+
+    One propagation over the realized graph gives ``v``'s arrival map and
+    earliest-arrival tree. Adds are scanned only when ``v`` misses a
+    terminal; each candidate is tested by one lookup in per-label reach
+    masks. An own edge is removable when another agent also buys it, when it
+    is no node's tree edge, or when a walk inside the subtree below it
+    re-reaches every terminal there (module docstring).
     """
     _require_node(host, v)
-    s.validate(host)
-    own = s.strategy(v)
-    realized = s.bought_edges()
-    groups = group_by_label(realized)
-    current_unreached = _unreached_count(groups, v, host)
-    if current_unreached > 0:
-        for edge in _setting_candidates(host, v, s.setting, realized):
-            if _unreached_count(groups, v, host, extra=(edge,)) < current_unreached:
-                return GreedyMove(action="add", edge=edge, new_strategy=own | {edge})
-    other_groups = group_by_label(_other_edges(s, v))
-    ordered = sorted(own)
-    for edge in ordered:
-        remaining = tuple(e for e in ordered if e != edge)
-        if (
-            _unreached_count(other_groups, v, host, extra=remaining)
-            == current_unreached
-        ):
-            return GreedyMove(action="remove", edge=edge, new_strategy=own - {edge})
-    return None
+    return _greedy_move(v, s, host, _realized_index(s, host))
 
 
 def is_greedy_equilibrium(s: StrategyProfile, host: HostGraph) -> VerificationReport:
-    """GE verification: no agent has an improving single-edge add or remove."""
-    s.validate(host)
+    """GE verification: no agent has an improving single-edge add or remove.
+
+    The realized graph is indexed once and one backward sweep gives every
+    agent's reached terminals. An agent that buys nothing and reaches every
+    terminal has no add and no remove, so it is skipped; every other agent
+    gets one :func:`greedy_improving_response` check over the shared index.
+    """
+    index = _realized_index(s, host)
+    masks = reach_masks(index.groups, index.bits)
     for v in host.nodes:
-        move = greedy_improving_response(v, s, host)
+        if masks[v] == index.full and v not in s.strategies:
+            continue
+        move = _greedy_move(v, s, host, index)
         if move is not None:
             witness = DeviationWitness(agent=v, strategy=move.new_strategy)
             _assert_improving(witness, s, host)
@@ -606,21 +752,23 @@ def greedy_dynamics(
 
     On convergence the final profile is re-verified by is_greedy_equilibrium
     and the report attached. Non-convergence is reported, not raised;
-    ``max_rounds=0`` runs no round and reports exactly that.
+    ``max_rounds=0`` runs no round and reports exactly that. The realized
+    graph is indexed again (and the new profile validated) only after a move.
 
     Raises:
         ValueError: ``max_rounds`` is negative.
     """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
-    s0.validate(host)
     current = s0
+    index = _realized_index(current, host)
     for round_index in range(1, max_rounds + 1):
         moved = False
         for v in host.nodes:
-            move = greedy_improving_response(v, current, host)
+            move = _greedy_move(v, current, host, index)
             if move is not None:
                 current = current.with_strategy(v, move.new_strategy)
+                index = _realized_index(current, host)
                 moved = True
         if not moved:
             report = is_greedy_equilibrium(current, host)
@@ -640,23 +788,21 @@ def necessary_terminals(
     """Terminals the buyer reaches with ``e`` in its strategy but not without.
 
     Removal acts on the buyer's strategy and the realized graph is re-formed,
-    so an edge that another agent also buys is never necessary.
+    so an edge that another agent also buys is never necessary, and neither
+    is one off the buyer's earliest-arrival tree. Otherwise the answer is
+    what the subtree repair of the greedy check leaves unreached.
     """
     _require_node(host, buyer)
-    s.validate(host)
+    index = _realized_index(s, host)
     if e not in s.strategy(buyer):
         raise NotOwned(f"{e} is not bought by {buyer!r}")
-    with_edge = realized_graph(s, host)
-    without = realized_graph(s.with_strategy(buyer, s.strategy(buyer) - {e}), host)
-    reach_with, _ = propagate_arrivals(
-        with_edge.label_groups(), buyer, targets=host.terminal_set
+    arrival, predecessor = propagate_arrivals(
+        index.groups, buyer, track_predecessors=True
     )
-    reach_without, _ = propagate_arrivals(
-        without.label_groups(), buyer, targets=host.terminal_set
+    lost = _lost_terminals(
+        e, arrival, predecessor, _tree_children(predecessor), index
     )
-    return frozenset(
-        t for t in host.terminals if t in reach_with and t not in reach_without
-    )
+    return frozenset(t for t in host.terminals if lost & index.bits[t])
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Three references are earlier versions of a library routine, kept so a faster
+Four references are earlier versions of a library routine, kept so a faster
 rewrite can be checked against them exactly: the restart-loop prune, the
-recursive deviation search (which does use the library's reach kernel) and
-the ownership sweep that verifies every assignment in full.
+recursive deviation search and the per-edge greedy loop (both of which do use
+the library's reach kernel) and the ownership sweep that verifies every
+assignment in full.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import math
 
 from tempo_ncg import (
     CostBreakdown,
+    GreedyMove,
     SearchOutcome,
     SearchTooLarge,
     Setting,
@@ -313,3 +315,61 @@ def oracle_sweep_ownership(host, target, mode, budget=None):
     return SweepResult(
         total_assignments=total, survivors=survivors, equilibria=tuple(equilibria)
     )
+
+
+def oracle_greedy_improving_response(v, s, host):
+    """The greedy check as first written: one full propagation per candidate
+    add and per own edge removed. Same contract as
+    ``greedy_improving_response``: adds first in canonical order, only when
+    ``v`` misses a terminal, then removes in canonical order."""
+    s.validate(host)
+    own = s.strategy(v)
+    realized = s.bought_edges()
+    others = set()
+    for agent, edges in s.strategies.items():
+        if agent != v:
+            others |= edges
+
+    def unreached_with(groups, extra=()):
+        arrival, _ = propagate_arrivals(groups, v, extra=extra)
+        return sum(1 for t in host.terminals if t not in arrival)
+
+    groups = group_by_label(realized)
+    current_unreached = unreached_with(groups)
+    if current_unreached > 0:
+        for edge in candidate_pool(host, v, s.setting):
+            if edge in realized:
+                continue
+            if unreached_with(groups, (edge,)) < current_unreached:
+                return GreedyMove(action="add", edge=edge, new_strategy=own | {edge})
+    other_groups = group_by_label(others)
+    ordered = sorted(own)
+    for edge in ordered:
+        remaining = tuple(e for e in ordered if e != edge)
+        if unreached_with(other_groups, remaining) == current_unreached:
+            return GreedyMove(action="remove", edge=edge, new_strategy=own - {edge})
+    return None
+
+
+def oracle_greedy_witness(s, host):
+    """(agent, new strategy) of the first agent with a greedy move, or None."""
+    for v in host.nodes:
+        move = oracle_greedy_improving_response(v, s, host)
+        if move is not None:
+            return v, move.new_strategy
+    return None
+
+
+def oracle_greedy_dynamics(s0, host, max_rounds):
+    """(final profile, converged, rounds) of round-robin greedy dynamics."""
+    current = s0
+    for round_index in range(1, max_rounds + 1):
+        moved = False
+        for v in host.nodes:
+            move = oracle_greedy_improving_response(v, current, host)
+            if move is not None:
+                current = current.with_strategy(v, move.new_strategy)
+                moved = True
+        if not moved:
+            return current, True, round_index
+    return current, False, max_rounds

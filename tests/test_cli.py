@@ -259,6 +259,40 @@ def test_sweep_over_budget_exits_2(runner, tmp_path):
     assert "exceed" in result.stderr
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_sweep_nonpositive_budget_is_a_usage_error(runner, tmp_path, budget):
+    path = gen_file(runner, tmp_path, "forced.json", "fig4")
+    result = invoke(
+        runner, "sweep", str(path), "--mode", "global", "--budget", budget
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "budgets must be positive" in result.stderr
+    assert "survivors" not in result.output
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_nonpositive_workers_is_a_usage_error(runner, tmp_path, workers):
+    path = gen_file(runner, tmp_path, "forced.json", "fig4")
+    result = invoke(
+        runner, "sweep", str(path), "--mode", "global", "--workers", workers
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "--workers must be positive" in result.stderr
+    assert "survivors" not in result.output
+
+
+def test_sweep_checks_its_options_before_loading(runner, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{", encoding="utf-8")
+    for flag in ("--budget", "--workers"):
+        result = invoke(runner, "sweep", str(path), "--mode", "local", flag, "0")
+        assert result.exit_code == 2
+        assert "must be positive" in result.stderr
+        assert "cannot load" not in result.stderr
+
+
 # -- dynamics -----------------------------------------------------------------
 
 

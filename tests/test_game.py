@@ -259,6 +259,24 @@ def test_greedy_equilibrium_verdicts():
     assert report.witness.strategy == {edge("v1", "v4", 1)}
 
 
+def test_greedy_check_propagates_once_per_buyer(monkeypatch):
+    dense = dense_cycle_instance(6)
+    calls = []
+    kernel = tempo_ncg.game.propagate_arrivals
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(tempo_ncg.game, "propagate_arrivals", counted)
+    assert is_greedy_equilibrium(dense.profile, dense.host).is_equilibrium
+    # One sweep per buyer: non-buyers that reach every terminal are skipped,
+    # and removes repair a subtree. One sweep per agent plus one per own
+    # edge made 72 + 276 = 348.
+    assert len(calls) == 48
+    assert sorted(calls) == list(dense.profile.buyers)
+
+
 def test_ge_synthesized_from_minimal_spanner_verifies():
     inst = fig4_instance()
     blue = realized_graph(inst.profile, inst.host)

@@ -8,10 +8,15 @@ from oracles import (
     naive_min_spanner,
     oracle_edge_needers,
     oracle_find_improving_response,
+    oracle_greedy_dynamics,
+    oracle_greedy_improving_response,
+    oracle_greedy_witness,
+    oracle_is_ge,
     oracle_is_minimal_spanner,
     oracle_is_spanner,
     oracle_mono_label_tree,
     oracle_prune_to_minimal,
+    oracle_reach,
     oracle_sweep_ownership,
 )
 from tempo_ncg import (
@@ -34,6 +39,8 @@ from tempo_ncg import (
     find_improving_response,
     find_nash_by_search,
     graph_product,
+    greedy_dynamics,
+    greedy_improving_response,
     instance_from_dict,
     instance_to_dict,
     is_greedy_equilibrium,
@@ -43,6 +50,7 @@ from tempo_ncg import (
     loads_instance,
     min_terminal_spanner,
     mono_label_spanning_tree,
+    necessary_terminals,
     prune_to_minimal,
     random_host,
     reach_set,
@@ -467,3 +475,81 @@ def test_ownership_sweep_matches_the_unmemoized_oracle(case):
     assert got.total_assignments == want.total_assignments
     assert got.survivors == want.survivors
     assert got.equilibria == want.equilibria
+
+
+@st.composite
+def greedy_cases(draw):
+    """A random host (n <= 7) and a random profile in which agents may miss
+    terminals, some edges are bought twice and global agents may buy edges
+    far from themselves; half of the profiles are then run through the
+    oracle's greedy dynamics."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    host = random_host(
+        n,
+        draw(st.integers(min_value=1, max_value=n)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+        max_label=draw(st.sampled_from([None, 2, 3])),
+        extra_label_prob=draw(st.sampled_from([0.0, 0.3])),
+    )
+    setting = draw(st.sampled_from(list(Setting)))
+    rng = draw(st.randoms(use_true_random=False))
+    strategies = {}
+    for v in host.nodes:
+        density = rng.choice([0.0, 0.05, 0.15, 0.3, 0.5])
+        strategies[v] = {
+            e
+            for e in host.sorted_time_edges
+            if (setting is Setting.GLOBAL or e.touches(v)) and rng.random() < density
+        }
+    for v in host.nodes:
+        # Buy a copy of another agent's edge now and then.
+        if rng.random() < 0.25:
+            shared = sorted(
+                e
+                for agent, edges in strategies.items()
+                if agent != v
+                for e in edges
+                if setting is Setting.GLOBAL or e.touches(v)
+            )
+            if shared:
+                strategies[v].add(rng.choice(shared))
+    profile = StrategyProfile(setting, strategies)
+    if draw(st.booleans()):
+        # Mostly greedy equilibria, where every remove must fail.
+        profile, _, _ = oracle_greedy_dynamics(profile, host, 10)
+    return host, profile
+
+
+@settings(max_examples=200, deadline=None)
+@given(greedy_cases())
+def test_greedy_checks_match_the_per_edge_oracle(case):
+    host, profile = case
+    for v in host.nodes:
+        assert greedy_improving_response(
+            v, profile, host
+        ) == oracle_greedy_improving_response(v, profile, host)
+    report = is_greedy_equilibrium(profile, host)
+    assert report.is_equilibrium == oracle_is_ge(profile, host)
+    witness = oracle_greedy_witness(profile, host)
+    if witness is None:
+        assert report.witness is None
+    else:
+        assert (report.witness.agent, report.witness.strategy) == witness
+    result = greedy_dynamics(profile, host, max_rounds=4)
+    assert (result.profile, result.converged, result.rounds) == oracle_greedy_dynamics(
+        profile, host, 4
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_cases())
+def test_necessary_terminals_match_reach_without_the_edge(case):
+    host, profile = case
+    for v in host.nodes:
+        own = profile.strategy(v)
+        before = oracle_reach(realized_graph(profile, host), v)
+        for e in own:
+            without = profile.with_strategy(v, own - {e})
+            after = oracle_reach(realized_graph(without, host), v)
+            want = {t for t in host.terminals if t in before and t not in after}
+            assert necessary_terminals(e, v, profile, host) == want
