@@ -6,7 +6,7 @@ are: a label-shifting graph product that multiplies equilibria, scaling by
 non-terminal satellites, two single-node extensions (one new terminal, one new
 non-terminal), a direct two-terminal equilibrium for arbitrary hosts, iterated
 hypercube equilibria, the dense-cycle family with many-edged equilibria, and a
-search-based spanning-tree equilibrium for hosts with at most two labels.
+direct spanning-tree equilibrium for hosts with at most two labels.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
-    bounded_subsets,
     connected_components,
     group_by_label,
     is_terminal_spanner,
@@ -29,7 +28,7 @@ from .core import (
     propagate_arrivals,
     validate_and_normalize_host,
 )
-from .errors import PreconditionFailed, SearchTooLarge, SettingMismatch
+from .errors import PreconditionFailed, SettingMismatch
 from .game import (
     Setting,
     StrategyProfile,
@@ -149,18 +148,17 @@ def graph_product(
     return host, profile
 
 
-def _star_host(c: int, setting: Setting) -> tuple[HostGraph, StrategyProfile]:
-    """Complete all-label-1 host on c nodes, one terminal, star equilibrium."""
-    width = len(str(max(c - 1, 1)))
-    satellites = [f"u{i:0{width}d}" for i in range(1, c)]
-    nodes = ["t", *satellites]
+def _label1_star(
+    nodes: tuple[NodeId, ...],
+    terminals: tuple[NodeId, ...],
+    center: NodeId,
+    setting: Setting,
+) -> tuple[HostGraph, StrategyProfile]:
+    """Complete all-label-1 host; every node but ``center`` buys its spoke."""
     edges = [TimeEdge(a, b, 1) for a, b in itertools.combinations(nodes, 2)]
-    host = HostGraph(graph=TemporalGraph(nodes, edges), terminals=("t",))
-    profile = StrategyProfile(
-        setting=setting,
-        strategies={w: frozenset({TimeEdge(w, "t", 1)}) for w in satellites},
-    )
-    return host, profile
+    host = HostGraph(graph=TemporalGraph(nodes, edges), terminals=terminals)
+    strategies = {v: {TimeEdge(v, center, 1)} for v in nodes if v != center}
+    return host, StrategyProfile(setting=setting, strategies=strategies)
 
 
 def scale_with_nonterminals(
@@ -180,7 +178,9 @@ def scale_with_nonterminals(
         raise PreconditionFailed(f"need c >= 1, got {c}")
     if set(h1.terminals) != set(h1.nodes):
         raise PreconditionFailed("scaling requires every node to be a terminal")
-    h2, s2 = _star_host(c, s1.setting)
+    width = len(str(max(c - 1, 1)))
+    nodes = ("t", *(f"u{i:0{width}d}" for i in range(1, c)))
+    h2, s2 = _label1_star(nodes, ("t",), "t", s1.setting)
     return graph_product(h1, s1, h2, s2)
 
 
@@ -194,8 +194,29 @@ def _fresh_node(existing: Iterable[NodeId], base: str = "x") -> NodeId:
     return f"{base}{i}"
 
 
-def _shift_labels(edges: Iterable[TimeEdge], shift: int) -> frozenset[TimeEdge]:
-    return frozenset(TimeEdge(e.u, e.v, e.label + shift) for e in edges)
+def _attach(
+    host: HostGraph, s: StrategyProfile, anchor: NodeId, terminal: bool
+) -> tuple[HostGraph, dict[NodeId, frozenset[TimeEdge]], NodeId]:
+    """Shift every label up by one and hang a fresh node x off ``anchor``.
+
+    x gets a label-1 edge to ``anchor`` and the new latest label to every
+    other node, and buys (x, anchor, 1); every old purchase is shifted too.
+    Returns the new host, the new strategies and x.
+    """
+    x = _fresh_node(host.nodes)
+    top = host.lifetime + 1
+    edges = [TimeEdge(e.u, e.v, e.label + 1) for e in host.time_edges()]
+    edges += [TimeEdge(x, v, 1 if v == anchor else top) for v in host.nodes]
+    new_host = HostGraph(
+        graph=TemporalGraph((*host.nodes, x), edges),
+        terminals=(*host.terminals, x) if terminal else host.terminals,
+    )
+    strategies = {
+        agent: frozenset(TimeEdge(e.u, e.v, e.label + 1) for e in bought)
+        for agent, bought in s.strategies.items()
+    }
+    strategies[x] = frozenset({TimeEdge(x, anchor, 1)})
+    return new_host, strategies, x
 
 
 def extend_with_nonterminal(
@@ -210,21 +231,7 @@ def extend_with_nonterminal(
     present, is preserved.
     """
     s.validate(host)
-    y = host.nodes[0]
-    x = _fresh_node(host.nodes)
-    top = host.lifetime + 1
-    edges: list[TimeEdge] = [
-        TimeEdge(e.u, e.v, e.label + 1) for e in host.time_edges()
-    ]
-    for v in host.nodes:
-        edges.append(TimeEdge(x, v, 1 if v == y else top))
-    new_host = HostGraph(
-        graph=TemporalGraph((*host.nodes, x), edges), terminals=host.terminals
-    )
-    strategies: dict[NodeId, frozenset[TimeEdge]] = {
-        agent: _shift_labels(bought, 1) for agent, bought in s.strategies.items()
-    }
-    strategies[x] = frozenset({TimeEdge(x, y, 1)})
+    new_host, strategies, _ = _attach(host, s, host.nodes[0], terminal=False)
     return new_host, StrategyProfile(setting=s.setting, strategies=strategies)
 
 
@@ -276,16 +283,9 @@ def extend_with_terminal(
             )
         x = _fresh_node(host.nodes)
         nodes = (*host.nodes, x)
-        edges = [TimeEdge(a, b, 1) for a, b in itertools.combinations(nodes, 2)]
-        new_host = HostGraph(
-            graph=TemporalGraph(nodes, edges),
-            terminals=(*host.terminals, x),
+        new_host, profile = _label1_star(
+            nodes, (*host.terminals, x), min(nodes), s.setting
         )
-        center = min(nodes)
-        strategies = {
-            v: frozenset({TimeEdge(v, center, 1)}) for v in nodes if v != center
-        }
-        profile = StrategyProfile(setting=s.setting, strategies=strategies)
     else:
         chosen = None
         for comp in components:
@@ -314,20 +314,9 @@ def extend_with_terminal(
             )
         a = non_buyers[0]
         b = min(set(chosen) - {a})
-        x = _fresh_node(host.nodes)
-        top = host.lifetime + 1
-        edges = [TimeEdge(e.u, e.v, e.label + 1) for e in host.time_edges()]
-        for v in host.nodes:
-            edges.append(TimeEdge(x, v, 1 if v == a else top))
-        new_host = HostGraph(
-            graph=TemporalGraph((*host.nodes, x), edges),
-            terminals=(*host.terminals, x),
-        )
-        strategies = {
-            agent: _shift_labels(bought, 1) for agent, bought in s.strategies.items()
-        }
-        strategies[x] = frozenset({TimeEdge(x, a, 1)})
-        strategies[b] = strategies.get(b, frozenset()) | {TimeEdge(x, b, top)}
+        new_host, strategies, x = _attach(host, s, a, terminal=True)
+        late = TimeEdge(x, b, host.lifetime + 1)
+        strategies[b] = strategies.get(b, frozenset()) | {late}
         profile = StrategyProfile(setting=s.setting, strategies=strategies)
 
     check = is_greedy_equilibrium(profile, new_host)
@@ -773,132 +762,60 @@ def dense_cycle_lemma_checks(x: int) -> DenseCycleChecks:
     )
 
 
-def _label2_tree_candidate(host: HostGraph) -> StrategyProfile | None:
-    """Spanning tree on label-2 pairs, every child buying its parent edge."""
-    pairs2 = [
-        (a, b)
-        for a, b in itertools.combinations(host.nodes, 2)
-        if 2 in host.labels(a, b)
-    ]
-    if len(connected_components(host.nodes, pairs2)) != 1:
-        return None
-    root = host.terminals[0]
-    parent: dict[NodeId, NodeId] = {root: root}
-    frontier = [root]
-    adjacency: dict[NodeId, list[NodeId]] = {n: [] for n in host.nodes}
-    for a, b in pairs2:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for n in adjacency:
-        adjacency[n].sort()
-    while frontier:
-        current = frontier.pop(0)
-        for nxt in adjacency[current]:
-            if nxt not in parent:
-                parent[nxt] = current
-                frontier.append(nxt)
-    strategies = {
-        child: frozenset({TimeEdge(child, via, 2)})
-        for child, via in parent.items()
-        if child != via
-    }
-    return StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)
-
-
-def _double_star_candidate(host: HostGraph) -> StrategyProfile | None:
-    """All-label-1 tree: outsiders attach to the root terminal, the root's
-    label-2 component attaches to a canonical outside node."""
-    pairs2 = [
-        (a, b)
-        for a, b in itertools.combinations(host.nodes, 2)
-        if 2 in host.labels(a, b)
-    ]
-    root = host.terminals[0]
-    components = connected_components(host.nodes, pairs2)
-    root_comp = next(c for c in components if root in c)
-    outside = sorted(set(host.nodes) - root_comp)
-    if not outside:
-        return None
-    hub = outside[0]
-    strategies: dict[NodeId, frozenset[TimeEdge]] = {}
-    for v in outside:
-        strategies[v] = frozenset({TimeEdge(v, root, 1)})
-    for u in sorted(root_comp - {root}):
-        strategies[u] = frozenset({TimeEdge(u, hub, 1)})
-    return StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)
-
-
-def _exhaustive_tree_candidates(
-    host: HostGraph, max_states: int
-) -> Iterator[StrategyProfile]:
-    """All spanning trees of time edges with endpoint ownership, canonical order."""
-    n = host.node_count
-    pool = host.sorted_time_edges
-    for combo in bounded_subsets(pool, (n - 1,), max_states):
-        # n - 1 edges that never close a cycle form a spanning tree.
-        if not all(kruskal(host.nodes, (e.pair for e in combo))[0]):
-            continue
-        for owners in itertools.product(*[(e.u, e.v) for e in combo]):
-            strategies: dict[NodeId, set[TimeEdge]] = {}
-            for owner, e in zip(owners, combo):
-                strategies.setdefault(owner, set()).add(e)
-            yield StrategyProfile(
-                setting=Setting.GLOBAL,
-                strategies={a: frozenset(es) for a, es in strategies.items()},
-            )
-
-
-def lifetime2_tree_ne(
-    host: HostGraph, max_nodes: int = 8, max_states: int = 200_000
-) -> StrategyProfile | None:
+def lifetime2_tree_ne(host: HostGraph) -> StrategyProfile:
     """Spanning-tree equilibrium for hosts whose lifetime is at most 2.
 
-    Tries two constructive candidates first: if the label-2 pairs connect
-    every node, a label-2 spanning tree where each child owns its parent edge
-    (dropping the edge cuts the owner off from the root terminal); otherwise
-    every pair crossing label-2 components carries label 1, and a double star
-    through the root terminal and one outside hub works the same way. Both
-    are exact equilibria in both settings by construction, but every
-    candidate is verified before being returned. If neither verifies, falls
-    back to exhaustive spanning-tree-with-ownership search (guarded); that
-    search exhausting without a hit returns None, a counterexample to the
-    lifetime-2 guarantee for the caller to report.
+    With ``root`` the first terminal: if the label-2 pairs connect every
+    node, each child of a breadth-first label-2 tree from ``root`` buys its
+    parent edge; otherwise every pair leaving root's label-2 component
+    carries label 1 (the host is complete), and a label-1 double star works:
+    outsiders buy their edge to ``root``, the rest of root's component buys
+    its edge to one outside hub.
+
+    Either tree is an equilibrium in both settings. Its edges share one
+    label, so every node reaches every other along the tree. Every buyer
+    owns one incident edge, and dropping it cuts the buyer off from
+    ``root``. A buyer pays (0 unreached, 1 edge), so only the empty strategy
+    is cheaper, and it loses a terminal; non-buyers already pay (0, 0).
+    The tree shape and the equilibrium are still checked.
 
     Raises:
         PreconditionFailed: host lifetime exceeds 2.
-        SearchTooLarge: fallback search needed but the host exceeds
-            ``max_nodes`` or ``max_states``.
     """
     if host.lifetime > 2:
         raise PreconditionFailed("construction applies to lifetime <= 2 hosts")
-    if host.node_count == 1:
-        return StrategyProfile.empty(Setting.GLOBAL)
-
-    def verified(candidate: StrategyProfile | None) -> StrategyProfile | None:
-        if candidate is None:
-            return None
-        graph = realized_graph(candidate, host)
-        if graph.time_edge_count != host.node_count - 1:
-            return None
-        if len(connected_components(host.nodes, list(graph.pairs()))) != 1:
-            return None
-        report = is_nash_equilibrium(candidate, host)
-        return candidate if report.verdict is Verdict.EQUILIBRIUM else None
-
-    for candidate in (_label2_tree_candidate(host), _double_star_candidate(host)):
-        found = verified(candidate)
-        if found is not None:
-            return found
-    if host.node_count > max_nodes:
-        raise SearchTooLarge(
-            f"no constructive candidate verified and n={host.node_count} "
-            f"exceeds the exhaustive guard {max_nodes}"
+    label2: dict[NodeId, list[NodeId]] = {n: [] for n in host.nodes}
+    for a, b in itertools.combinations(host.nodes, 2):
+        if 2 in host.labels(a, b):
+            label2[a].append(b)
+            label2[b].append(a)
+    # Breadth-first search of root's label-2 component.
+    root = host.terminals[0]
+    parent = {root: root}
+    order = [root]
+    for current in order:
+        for nxt in sorted(label2[current]):
+            if nxt not in parent:
+                parent[nxt] = current
+                order.append(nxt)
+    if len(order) == host.node_count:
+        strategies = {v: {TimeEdge(v, parent[v], 2)} for v in order[1:]}
+    else:
+        outside = sorted(set(host.nodes) - parent.keys())
+        strategies = {v: {TimeEdge(v, root, 1)} for v in outside}
+        for u in order[1:]:
+            strategies[u] = {TimeEdge(u, outside[0], 1)}
+    profile = StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)
+    graph = realized_graph(profile, host)
+    if (
+        graph.time_edge_count != host.node_count - 1
+        or len(connected_components(host.nodes, list(graph.pairs()))) != 1
+        or is_nash_equilibrium(profile, host).verdict is not Verdict.EQUILIBRIUM
+    ):
+        raise AssertionError(
+            "internal error: lifetime-2 tree is not a spanning-tree equilibrium"
         )
-    for candidate in _exhaustive_tree_candidates(host, max_states):
-        found = verified(candidate)
-        if found is not None:
-            return found
-    return None
+    return profile
 
 
 def random_host(

@@ -400,33 +400,21 @@ class ArrivalMap:
 def propagate_arrivals(
     groups: Iterable[tuple[int, tuple[TimeEdge, ...]]],
     source: NodeId,
-    extra: Iterable[TimeEdge] = (),
     targets: frozenset[NodeId] | None = None,
     track_predecessors: bool = False,
 ) -> tuple[dict[NodeId, int], dict[NodeId, TimeEdge]]:
     """Earliest-arrival sweep over pre-grouped time edges.
 
     ``groups`` must be sorted by ascending label (as from
-    :meth:`TemporalGraph.label_groups`); ``extra`` edges are merged in without
-    copying the base structure, which keeps deviation searches cheap. When
-    ``targets`` is given the sweep stops as soon as all targets are reached.
-    Within one label the sweep iterates to a fixed point so equally labelled
-    edges chain.
+    :meth:`TemporalGraph.label_groups` or :func:`group_by_label`); a caller
+    that adds edges to a base graph groups the union. When ``targets`` is
+    given the sweep stops as soon as all targets are reached. Within one
+    label the sweep iterates to a fixed point so equally labelled edges chain.
     """
     arrival: dict[NodeId, int] = {source: 0}
     predecessor: dict[NodeId, TimeEdge] = {}
-    extra_groups = dict(group_by_label(extra))
-    if extra_groups:
-        base = dict(groups)
-        merged: list[tuple[int, tuple[TimeEdge, ...]]] = [
-            (label, base.get(label, ()) + extra_groups.get(label, ()))
-            for label in sorted(base.keys() | extra_groups.keys())
-        ]
-    else:
-        merged = list(groups)
-    done = targets is not None and targets <= arrival.keys()
-    for label, edges in merged:
-        if done:
+    for label, edges in groups:
+        if targets is not None and targets <= arrival.keys():
             break
         changed = True
         while changed:
@@ -444,8 +432,6 @@ def propagate_arrivals(
                     if track_predecessors:
                         predecessor[edge.u] = edge
                     changed = True
-        if targets is not None and targets <= arrival.keys():
-            done = True
     return arrival, predecessor
 
 

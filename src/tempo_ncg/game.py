@@ -64,6 +64,8 @@ reaches. The terminals of T left over are those the removal loses.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -312,12 +314,8 @@ def _other_edges(s: StrategyProfile, v: NodeId) -> set[TimeEdge]:
     return others
 
 
-def _unreached_count(
-    groups, source: NodeId, host: HostGraph, extra: Iterable[TimeEdge] = ()
-) -> int:
-    arrival, _ = propagate_arrivals(
-        groups, source, extra=extra, targets=host.terminal_set
-    )
+def _unreached_count(groups, source: NodeId, host: HostGraph) -> int:
+    arrival, _ = propagate_arrivals(groups, source, targets=host.terminal_set)
     return sum(1 for t in host.terminals if t not in arrival)
 
 
@@ -415,7 +413,7 @@ def find_improving_response(
     others = _other_edges(s, v)
     groups = group_by_label(others)
     k = host.terminal_count
-    current_unreached = _unreached_count(groups, v, host, extra=own)
+    current_unreached = _unreached_count(group_by_label(others | own), v, host)
     current = CostBreakdown(current_unreached, e0)
     if cap is None:
         cap = e0 - 1 if current_unreached == 0 else k
@@ -498,9 +496,13 @@ def _assert_improving(
     # The caller validated ``s``; only the witness strategy is new.
     v, own, new = witness.agent, s.strategy(witness.agent), witness.strategy
     StrategyProfile(s.setting, {v: new}).validate(host)
-    groups = group_by_label(_other_edges(s, v))
-    before = CostBreakdown(_unreached_count(groups, v, host, extra=own), len(own))
-    after = CostBreakdown(_unreached_count(groups, v, host, extra=new), len(new))
+    others = _other_edges(s, v)
+    before = CostBreakdown(
+        _unreached_count(group_by_label(others | own), v, host), len(own)
+    )
+    after = CostBreakdown(
+        _unreached_count(group_by_label(others | new), v, host), len(new)
+    )
     if not after < before:
         raise AssertionError(
             f"internal error: witness for {witness.agent!r} does not improve "
@@ -847,17 +849,12 @@ def find_forbidden_structure(
     graph = realized_graph(s, host)
     if not graph.is_simple:
         raise NotSimple("realized graph must carry one label per pair")
-    if necessary_fn is None:
-        def necessary_fn(edge: TimeEdge, buyer: NodeId) -> frozenset[NodeId]:
-            return necessary_terminals(edge, buyer, s, host)
 
-    necessary_cache: dict[tuple[TimeEdge, NodeId], frozenset[NodeId]] = {}
-
+    @functools.cache
     def necessary(edge: TimeEdge, buyer: NodeId) -> frozenset[NodeId]:
-        key = (edge, buyer)
-        if key not in necessary_cache:
-            necessary_cache[key] = frozenset(necessary_fn(edge, buyer))
-        return necessary_cache[key]
+        if necessary_fn is None:
+            return necessary_terminals(edge, buyer, s, host)
+        return frozenset(necessary_fn(edge, buyer))
 
     def kept_edges(u: NodeId, z: NodeId, threshold: int) -> list[TimeEdge]:
         # Edges u buys, other than {z, u}, labelled no earlier than {z, u}.
@@ -868,38 +865,30 @@ def find_forbidden_structure(
             if e.pair != pair and e.label >= threshold
         ]
 
-    terminals = host.terminals
-    nodes = graph.nodes
-    for z in nodes:
-        neighbors = [u for u in nodes if u != z and graph.labels(z, u)]
-        for i, u1 in enumerate(neighbors):
-            for u2 in neighbors[i + 1 :]:
-                lab1 = graph.labels(z, u1)[0]
-                lab2 = graph.labels(z, u2)[0]
-                kept1 = kept_edges(u1, z, lab1)
-                kept2 = kept_edges(u2, z, lab2)
-                if len(kept1) < 2 or len(kept2) < 2:
-                    continue
-                for xi, x in enumerate(terminals):
-                    for y in terminals[xi + 1 :]:
-                        for e1x in kept1:
-                            if x not in necessary(e1x, u1):
-                                continue
-                            for e1y in kept1:
-                                if e1y == e1x or y not in necessary(e1y, u1):
-                                    continue
-                                for e2x in kept2:
-                                    if e2x in (e1x, e1y) or x not in necessary(e2x, u2):
-                                        continue
-                                    for e2y in kept2:
-                                        if e2y in (e1x, e1y, e2x):
-                                            continue
-                                        if y not in necessary(e2y, u2):
-                                            continue
-                                        return ForbiddenStructure(
-                                            z=z, u1=u1, u2=u2, x=x, y=y,
-                                            e1x=e1x, e1y=e1y, e2x=e2x, e2y=e2y,
-                                        )
+    terminal_pairs = list(itertools.combinations(host.terminals, 2))
+    for z in graph.nodes:
+        neighbors = [u for u in graph.nodes if u != z and graph.labels(z, u)]
+        for u1, u2 in itertools.combinations(neighbors, 2):
+            kept1 = kept_edges(u1, z, graph.labels(z, u1)[0])
+            kept2 = kept_edges(u2, z, graph.labels(z, u2)[0])
+            # Fewer than two kept edges on either side leave no permutation.
+            for (x, y), (e1x, e1y), (e2x, e2y) in itertools.product(
+                terminal_pairs,
+                itertools.permutations(kept1, 2),
+                itertools.permutations(kept2, 2),
+            ):
+                if (
+                    x in necessary(e1x, u1)
+                    and y in necessary(e1y, u1)
+                    and e2x not in (e1x, e1y)
+                    and x in necessary(e2x, u2)
+                    and e2y not in (e1x, e1y)
+                    and y in necessary(e2y, u2)
+                ):
+                    return ForbiddenStructure(
+                        z=z, u1=u1, u2=u2, x=x, y=y,
+                        e1x=e1x, e1y=e1y, e2x=e2x, e2y=e2y,
+                    )
     return None
 
 

@@ -133,7 +133,8 @@ def build_poa_record(
         optimum_edges=optimum,
         optimum_exact=exact,
         optimum_lower_bound=lower,
-        ratio=equilibrium_edges / optimum,
+        # Only n = 1 has optimum 0, and its equilibrium is empty too.
+        ratio=equilibrium_edges / optimum if optimum else 1.0,
     )
     return record, report
 

@@ -157,9 +157,6 @@ def ge_from_minimal_spanner(
                 f"{edge} is removable, so the spanner is not inclusion-minimal"
             )
         strategies.setdefault(needer, set()).add(edge)
-    profile = StrategyProfile(
-        setting=Setting.GLOBAL,
-        strategies={a: frozenset(es) for a, es in strategies.items()},
-    )
+    profile = StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)
     profile.validate(host)
     return profile

@@ -82,10 +82,7 @@ def _profile_from_owners(
     strategies: dict[NodeId, set[TimeEdge]] = {}
     for owner, edge in zip(owners, edges):
         strategies.setdefault(owner, set()).add(edge)
-    return StrategyProfile(
-        setting=setting,
-        strategies={a: frozenset(es) for a, es in strategies.items()},
-    )
+    return StrategyProfile(setting=setting, strategies=strategies)
 
 
 def _verify_chunk(

@@ -6,11 +6,11 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Four references are earlier versions of a library routine, kept so a faster
-rewrite can be checked against them exactly: the restart-loop prune, the
-recursive deviation search and the per-edge greedy loop (both of which do use
-the library's reach kernel) and the ownership sweep that verifies every
-assignment in full.
+Five references are earlier versions of a library routine, kept so a faster
+or flatter rewrite can be checked against them exactly: the restart-loop
+prune, the recursive deviation search and the per-edge greedy loop (both of
+which do use the library's reach kernel), the ownership sweep that verifies
+every assignment in full, and the nested-loop forbidden-structure scan.
 """
 
 import itertools
@@ -18,6 +18,7 @@ import math
 
 from tempo_ncg import (
     CostBreakdown,
+    ForbiddenStructure,
     GreedyMove,
     SearchOutcome,
     SearchTooLarge,
@@ -29,6 +30,8 @@ from tempo_ncg import (
     edge_needers,
     is_nash_equilibrium,
     is_terminal_spanner,
+    necessary_terminals,
+    realized_graph,
 )
 from tempo_ncg.core import group_by_label, propagate_arrivals
 
@@ -220,7 +223,7 @@ def oracle_find_improving_response(v, s, host, cap=None, budget=None):
     k = host.terminal_count
 
     def unreached_with(extra):
-        arrival, _ = propagate_arrivals(groups, v, extra=extra)
+        arrival, _ = propagate_arrivals(group_by_label(others.union(extra)), v)
         return sum(1 for t in host.terminals if t not in arrival)
 
     def improves(arrival, edge):
@@ -266,7 +269,9 @@ def oracle_find_improving_response(v, s, host, cap=None, budget=None):
                     exhausted = True
                     return None
                 extended = (*chosen, edge)
-                new_arrival, _ = propagate_arrivals(groups, v, extra=extended)
+                new_arrival, _ = propagate_arrivals(
+                    group_by_label(others.union(extended)), v
+                )
                 if len(extended) == r:
                     unreached = sum(1 for t in host.terminals if t not in new_arrival)
                     if CostBreakdown(unreached, r) < current:
@@ -330,23 +335,21 @@ def oracle_greedy_improving_response(v, s, host):
         if agent != v:
             others |= edges
 
-    def unreached_with(groups, extra=()):
-        arrival, _ = propagate_arrivals(groups, v, extra=extra)
+    def unreached_with(edges):
+        arrival, _ = propagate_arrivals(group_by_label(edges), v)
         return sum(1 for t in host.terminals if t not in arrival)
 
-    groups = group_by_label(realized)
-    current_unreached = unreached_with(groups)
+    current_unreached = unreached_with(realized)
     if current_unreached > 0:
         for edge in candidate_pool(host, v, s.setting):
             if edge in realized:
                 continue
-            if unreached_with(groups, (edge,)) < current_unreached:
+            if unreached_with(realized | {edge}) < current_unreached:
                 return GreedyMove(action="add", edge=edge, new_strategy=own | {edge})
-    other_groups = group_by_label(others)
     ordered = sorted(own)
     for edge in ordered:
         remaining = tuple(e for e in ordered if e != edge)
-        if unreached_with(other_groups, remaining) == current_unreached:
+        if unreached_with(others.union(remaining)) == current_unreached:
             return GreedyMove(action="remove", edge=edge, new_strategy=own - {edge})
     return None
 
@@ -373,3 +376,54 @@ def oracle_greedy_dynamics(s0, host, max_rounds):
         if not moved:
             return current, True, round_index
     return current, False, max_rounds
+
+
+def oracle_find_forbidden_structure(s, host, necessary_fn=None):
+    """The forbidden-structure scan as first written: eight nested loops.
+    Same contract and visiting order as ``find_forbidden_structure`` on a
+    local profile with a simple realized graph."""
+    graph = realized_graph(s, host)
+    if necessary_fn is None:
+        def necessary_fn(edge, buyer):
+            return necessary_terminals(edge, buyer, s, host)
+
+    def necessary(edge, buyer):
+        return frozenset(necessary_fn(edge, buyer))
+
+    def kept_edges(u, z, threshold):
+        pair = (min(z, u), max(z, u))
+        return [
+            e for e in sorted(s.strategy(u)) if e.pair != pair and e.label >= threshold
+        ]
+
+    terminals = host.terminals
+    nodes = graph.nodes
+    for z in nodes:
+        neighbors = [u for u in nodes if u != z and graph.labels(z, u)]
+        for i, u1 in enumerate(neighbors):
+            for u2 in neighbors[i + 1 :]:
+                kept1 = kept_edges(u1, z, graph.labels(z, u1)[0])
+                kept2 = kept_edges(u2, z, graph.labels(z, u2)[0])
+                if len(kept1) < 2 or len(kept2) < 2:
+                    continue
+                for xi, x in enumerate(terminals):
+                    for y in terminals[xi + 1 :]:
+                        for e1x in kept1:
+                            if x not in necessary(e1x, u1):
+                                continue
+                            for e1y in kept1:
+                                if e1y == e1x or y not in necessary(e1y, u1):
+                                    continue
+                                for e2x in kept2:
+                                    if e2x in (e1x, e1y) or x not in necessary(e2x, u2):
+                                        continue
+                                    for e2y in kept2:
+                                        if e2y in (e1x, e1y, e2x):
+                                            continue
+                                        if y not in necessary(e2y, u2):
+                                            continue
+                                        return ForbiddenStructure(
+                                            z=z, u1=u1, u2=u2, x=x, y=y,
+                                            e1x=e1x, e1y=e1y, e2x=e2x, e2y=e2y,
+                                        )
+    return None

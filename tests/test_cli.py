@@ -9,10 +9,13 @@ from click.testing import CliRunner
 
 from tempo_ncg import (
     InstanceFile,
+    Setting,
     StrategyProfile,
+    TemporalGraph,
     dumps_instance,
     loads_instance,
     save_instance,
+    validate_and_normalize_host,
 )
 import tempo_ncg.cli
 import tempo_ncg.poa
@@ -408,6 +411,17 @@ def test_poa_with_no_verified_instance_exits_2(runner, tmp_path):
     result = invoke(runner, "poa", str(forced))
     assert result.exit_code == 2
     assert "no instance produced a record" in result.stderr
+
+
+def test_poa_on_a_single_node_instance_exits_0(runner, tmp_path):
+    host = validate_and_normalize_host(TemporalGraph(["z"]), ["z"])
+    path = tmp_path / "single.json"
+    save_instance(
+        InstanceFile("single", host, StrategyProfile.empty(Setting.GLOBAL)), path
+    )
+    result = invoke(runner, "poa", str(path))
+    assert result.exit_code == 0, result.output + result.stderr
+    assert result.stdout.splitlines()[1] == "single,1,1,0,ne,global,0,0,True,0,1.0"
 
 
 # -- installed entry point ----------------------------------------------------

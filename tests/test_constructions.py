@@ -1,7 +1,13 @@
+import hashlib
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempo_ncg import (
     DenseCycleParams,
+    InstanceFile,
     PreconditionFailed,
     ProductNodeId,
     Setting,
@@ -9,9 +15,11 @@ from tempo_ncg import (
     StrategyProfile,
     TemporalGraph,
     TimeEdge,
+    Verdict,
     connected_components,
     dense_cycle_instance,
     dense_cycle_lemma_checks,
+    dumps_instance,
     extend_with_nonterminal,
     extend_with_terminal,
     graph_product,
@@ -26,7 +34,7 @@ from tempo_ncg import (
     two_terminal_ne,
     validate_and_normalize_host,
 )
-from tempo_ncg.fixtures import fig5_left_instance
+from tempo_ncg.fixtures import FIXTURE_BUILDERS, fig5_left_instance
 from tempo_ncg import constructions
 
 from oracles import oracle_is_ne
@@ -386,17 +394,40 @@ def test_lifetime2_rejects_long_lifetimes():
         lifetime2_tree_ne(host)
 
 
-def test_lifetime2_fallback_guard(monkeypatch):
+def test_lifetime2_refuted_candidate_is_an_internal_error(monkeypatch):
     host = random_host(5, 2, seed=4, max_label=2)
-    monkeypatch.setattr(constructions, "_label2_tree_candidate", lambda h: None)
-    monkeypatch.setattr(constructions, "_double_star_candidate", lambda h: None)
-    from tempo_ncg.errors import SearchTooLarge
+    refuted = is_nash_equilibrium(StrategyProfile.empty(Setting.GLOBAL), host)
+    assert refuted.verdict is Verdict.REFUTED
+    monkeypatch.setattr(constructions, "is_nash_equilibrium", lambda s, h: refuted)
+    with pytest.raises(AssertionError, match="internal error"):
+        lifetime2_tree_ne(host)
 
-    with pytest.raises(SearchTooLarge):
-        lifetime2_tree_ne(host, max_nodes=2)
-    # With room to search, the exhaustive fallback still finds a tree.
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    k_seed=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+    max_label=st.sampled_from([1, 2]),
+    extra_label_prob=st.sampled_from([0.0, 0.3, 0.7]),
+)
+def test_lifetime2_tree_is_an_equilibrium_in_both_settings(
+    n, k_seed, seed, max_label, extra_label_prob
+):
+    host = random_host(
+        n, 1 + k_seed % n, seed=seed, max_label=max_label,
+        extra_label_prob=extra_label_prob,
+    )
     s = lifetime2_tree_ne(host)
-    assert s is not None and tree_shaped(s, host)
+    assert tree_shaped(s, host)
+    local = s.with_setting(Setting.LOCAL)
+    assert is_nash_equilibrium(s, host).is_equilibrium
+    assert is_nash_equilibrium(local, host).is_equilibrium
+    # The brute-force global pool is every host edge, so it stops at n = 4.
+    if n <= 5:
+        assert oracle_is_ne(local, host)
+    if n <= 4:
+        assert oracle_is_ne(s, host)
 
 
 # --- random hosts and relabeling ----------------------------------------------------
@@ -426,3 +457,95 @@ def test_relabel_instance_preserves_equilibrium():
     new_host, new_s = relabel_instance(left.host, left.profile, mapping)
     assert sorted(new_host.nodes) == sorted(mapping.values())
     assert is_nash_equilibrium(new_s, new_host).is_equilibrium
+
+
+# --- pinned construction outputs ------------------------------------------------
+
+
+def _lifetime2_hosts():
+    """Seeded hosts with labels 1 and 2. A pair carries label 2 with
+    probability q, so a small q leaves the label-2 pairs disconnected."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = 1 + seed % 8
+        q = (0.0, 0.2, 0.4, 0.7)[seed % 4]
+        nodes = [f"n{i}" for i in range(n)]
+        edges = []
+        for a, b in itertools.combinations(nodes, 2):
+            labels = {2 if rng.random() < q else 1}
+            if rng.random() < 0.3:
+                labels.add(rng.choice((1, 2)))
+            edges.extend(TimeEdge(a, b, label) for label in labels)
+        terminals = rng.sample(nodes, 1 + seed % n)
+        yield f"l2-{seed}", validate_and_normalize_host(
+            TemporalGraph(nodes, edges), terminals
+        )
+
+
+def _construction_inputs():
+    for name, build in sorted(FIXTURE_BUILDERS.items()):
+        fixture = build()
+        yield name, fixture.host, fixture.profile
+    for d in (1, 2, 3):
+        yield (f"cube{d}", *hypercube_equilibrium(d))
+    for name, host in _lifetime2_hosts():
+        if host.node_count > 1:
+            yield name, host, lifetime2_tree_ne(host)
+
+
+def _digest(cases):
+    """sha256 over each case's instance file, or over its refusal."""
+    text = []
+    for name, build in cases:
+        try:
+            host, profile = build()
+        except PreconditionFailed:
+            text.append(f"{name}: refused\n")
+        else:
+            text.append(dumps_instance(InstanceFile(name, host, profile)))
+    return hashlib.sha256("".join(text).encode()).hexdigest()
+
+
+CONSTRUCTION_DIGESTS = {
+    "extend_with_terminal": (
+        "484ba5797d226d053716cee572f4594cd027dddd4feae4dfc32e9fe2c2f7d0d8"
+    ),
+    "extend_with_nonterminal": (
+        "8c2baa5521c72c658551d68ed6b388ba1c363d97ce68d41754cad70a3c70f630"
+    ),
+    "scale_with_nonterminals": (
+        "138a18e316282a4e547f3c8879c6c772c5ce3e029763c0ced5979b679c2a6a92"
+    ),
+    "lifetime2_tree_ne": (
+        "f8fbf253873f6f3987ea14e2fbcc7981d78c4f0aa81ee10bfd24f5ea45c74e14"
+    ),
+}
+
+
+def test_construction_outputs_are_pinned():
+    inputs = list(_construction_inputs())
+    scalable = [
+        (name, host, profile)
+        for name, host, profile in inputs
+        if set(host.terminals) == set(host.nodes)
+    ]
+    digests = {
+        "extend_with_terminal": _digest(
+            (name, lambda h=host, p=profile: extend_with_terminal(h, p))
+            for name, host, profile in inputs
+        ),
+        "extend_with_nonterminal": _digest(
+            (name, lambda h=host, p=profile: extend_with_nonterminal(h, p))
+            for name, host, profile in inputs
+        ),
+        "scale_with_nonterminals": _digest(
+            (f"{name}-c{c}", lambda h=host, p=profile, c=c: scale_with_nonterminals(h, p, c))
+            for name, host, profile in scalable
+            for c in (1, 2, 3)
+        ),
+        "lifetime2_tree_ne": _digest(
+            (name, lambda h=host: (h, lifetime2_tree_ne(h)))
+            for name, host in _lifetime2_hosts()
+        ),
+    }
+    assert digests == CONSTRUCTION_DIGESTS

@@ -9,6 +9,8 @@ from tempo_ncg import (
     PoARecord,
     Setting,
     SpannerSearchConfig,
+    StrategyProfile,
+    TemporalGraph,
     build_poa_record,
     compute_optimum,
     dense_cycle_instance,
@@ -17,6 +19,7 @@ from tempo_ncg import (
     records_to_csv,
     records_to_json,
     scale_with_nonterminals,
+    validate_and_normalize_host,
 )
 from tempo_ncg.fixtures import fig4_instance
 from tempo_ncg.poa import PRUNE_EDGE_LIMIT
@@ -54,6 +57,15 @@ def test_single_pair_record_has_unit_ratio():
     host1, s1 = hypercube_equilibrium(1)
     record, _ = build_poa_record("pair", host1, s1)
     assert record.equilibrium_edges == record.optimum_edges == 1
+    assert record.ratio == 1.0
+
+
+def test_single_node_record_has_unit_ratio():
+    host = validate_and_normalize_host(TemporalGraph(["z"]), ["z"])
+    record, report = build_poa_record("single", host, StrategyProfile.empty(Setting.GLOBAL))
+    assert report.is_equilibrium
+    assert record.equilibrium_edges == record.optimum_edges == 0
+    assert record.optimum_exact
     assert record.ratio == 1.0
 
 

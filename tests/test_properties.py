@@ -1,5 +1,7 @@
 """Invariants checked over randomized inputs."""
 
+import zlib
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from oracles import (
     brute_force_arrivals,
     naive_min_spanner,
     oracle_edge_needers,
+    oracle_find_forbidden_structure,
     oracle_find_improving_response,
     oracle_greedy_dynamics,
     oracle_greedy_improving_response,
@@ -36,6 +39,7 @@ from tempo_ncg import (
     dumps_instance,
     earliest_arrivals,
     edge_needers,
+    find_forbidden_structure,
     find_improving_response,
     find_nash_by_search,
     graph_product,
@@ -155,7 +159,8 @@ def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
         e, far = data.draw(st.sampled_from(improving), label="edge")
         prefix.append(e)
         arrival = _extend_arrivals(arrival, adjacency, far, e.label)
-        assert arrival == propagate_arrivals(groups, source, extra=prefix)[0]
+        merged = group_by_label([*graph.time_edges(), *prefix])
+        assert arrival == propagate_arrivals(merged, source)[0]
 
 
 @given(temporal_graphs(max_n=4), st.data())
@@ -553,3 +558,47 @@ def test_necessary_terminals_match_reach_without_the_edge(case):
             after = oracle_reach(realized_graph(without, host), v)
             want = {t for t in host.terminals if t in before and t not in after}
             assert necessary_terminals(e, v, profile, host) == want
+
+
+@st.composite
+def forbidden_cases(draw):
+    """A random host (4 <= n <= 7) and a random local profile whose realized
+    graph is simple: each bought pair carries one label, bought by one end
+    or by both."""
+    n = draw(st.integers(min_value=4, max_value=7))
+    host = random_host(
+        n,
+        draw(st.integers(min_value=1, max_value=n)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+        max_label=draw(st.sampled_from([None, 2, 3])),
+        extra_label_prob=0.3,
+    )
+    rng = draw(st.randoms(use_true_random=False))
+    density = rng.choice([0.3, 0.5, 0.8])
+    strategies = {v: set() for v in host.nodes}
+    for u, v in _pairs(host.nodes):
+        if rng.random() < density:
+            e = TimeEdge(u, v, rng.choice(host.labels(u, v)))
+            for owner in rng.choice([(u,), (v,), (u, v)]):
+                strategies[owner].add(e)
+    return host, StrategyProfile(Setting.LOCAL, strategies)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forbidden_cases(), st.integers(min_value=0, max_value=2**16))
+def test_forbidden_structure_scan_matches_the_nested_loop_oracle(case, salt):
+    """Same first witness (or None) as the nested loops, with the real
+    necessary-terminal sets and with a seeded hash standing in for them."""
+    host, profile = case
+
+    def hashed(e, buyer):
+        return frozenset(
+            t
+            for t in host.terminals
+            if zlib.crc32(f"{salt}|{e.u}|{e.v}|{e.label}|{buyer}|{t}".encode()) % 3
+        )
+
+    for necessary_fn in (None, hashed):
+        assert find_forbidden_structure(
+            profile, host, necessary_fn
+        ) == oracle_find_forbidden_structure(profile, host, necessary_fn)
