@@ -22,10 +22,8 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     connected_components,
-    group_by_label,
     is_terminal_spanner,
     kruskal,
-    propagate_arrivals,
     validate_and_normalize_host,
 )
 from .errors import PreconditionFailed, SettingMismatch
@@ -33,6 +31,7 @@ from .game import (
     Setting,
     StrategyProfile,
     Verdict,
+    agent_cost,
     is_greedy_equilibrium,
     is_nash_equilibrium,
     realized_graph,
@@ -328,21 +327,6 @@ def extend_with_terminal(
     return new_host, profile
 
 
-def _reaches_both(
-    host: HostGraph,
-    strategies: Mapping[NodeId, frozenset[TimeEdge]],
-    agent: NodeId,
-    extra: Iterable[TimeEdge],
-    targets: frozenset[NodeId],
-) -> bool:
-    pool: set[TimeEdge] = set(extra)
-    for other, bought in strategies.items():
-        if other != agent:
-            pool |= bought
-    arrival, _ = propagate_arrivals(group_by_label(pool), agent, targets=targets)
-    return targets <= arrival.keys()
-
-
 def two_terminal_ne(
     host: HostGraph, setting: Setting = Setting.GLOBAL
 ) -> StrategyProfile:
@@ -404,7 +388,6 @@ def two_terminal_ne(
         gate = host.min_label(near, far)
         if host.min_label(near, mids[0]) > gate:
             buy(mids[0], edge(mids[0], near), edge(mids[0], far))
-            targets = frozenset((near, far))
             j = 0
             while True:
                 bridge = mids[j]
@@ -413,7 +396,11 @@ def two_terminal_ne(
                     if w == bridge:
                         continue
                     candidate = edge(bridge, w)
-                    if _reaches_both(host, strategies, bridge, (candidate,), targets):
+                    trial = StrategyProfile(
+                        Setting.GLOBAL, {**strategies, bridge: {candidate}}
+                    )
+                    # Both of the host's terminals reached with the one edge.
+                    if agent_cost(bridge, trial, host).unreached_terminals == 0:
                         repair = candidate
                         break
                 if repair is None:

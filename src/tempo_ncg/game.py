@@ -10,6 +10,14 @@ improving single-edge add or remove; a Nash equilibrium (NE) admits no
 improving replacement strategy at all, so every NE is a GE. Swap moves are
 never considered by the greedy search; the exact NE search subsumes them.
 
+Every check reads one index of a profile's realized graph: its label groups,
+the terminal bits, the bought edges, those that two or more agents buy, and
+the adjacency once a greedy check asks for it. Like a validation, it is memoized
+on the profile outside the fields, per host object, so equality and pickling
+ignore it and copies build their own. An edge of the realized graph is not
+one of the other agents' exactly when ``v`` alone buys it, so the realized
+groups without ``own - shared`` are the others' groups, already in order.
+
 Exactness of the NE search rests on two facts. First, on a complete host an
 agent missing a terminal always has an improving response (direct edges to
 terminals), so only agents that currently reach everything need a subset
@@ -72,7 +80,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .core import (
     HostGraph,
@@ -123,6 +130,7 @@ class StrategyProfile:
     setting: Setting
     strategies: Mapping[NodeId, frozenset[TimeEdge]]
     _valid_for = None  # not a field: the host ``validate`` last passed against
+    _index = None  # not a field: (host, _RealizedIndex) of the last index build
 
     def __post_init__(self) -> None:
         cleaned = {
@@ -305,25 +313,65 @@ def _require_node(host: HostGraph, v: NodeId) -> None:
         raise UnknownNode(f"{v!r} is not a node of the host")
 
 
-def _other_edges(s: StrategyProfile, v: NodeId) -> set[TimeEdge]:
-    """Every edge bought by an agent other than ``v``."""
-    others: set[TimeEdge] = set()
-    for agent, edges in s.strategies.items():
-        if agent != v:
-            others |= edges
-    return others
+@dataclass(frozen=True)
+class _RealizedIndex:
+    """One profile's realized graph, read by every check in this module."""
+
+    groups: LabelGroups
+    bits: dict[NodeId, int]
+    full: int
+    bought: frozenset[TimeEdge]
+    shared: frozenset[TimeEdge]  # edges that two or more agents buy
+
+    @functools.cached_property
+    def adjacency(self) -> dict[NodeId, list[tuple[int, NodeId]]]:
+        return _adjacency(self.groups)
 
 
-def _unreached_count(groups, source: NodeId, host: HostGraph) -> int:
-    arrival, _ = propagate_arrivals(groups, source, targets=host.terminal_set)
-    return sum(1 for t in host.terminals if t not in arrival)
+def _realized_index(s: StrategyProfile, host: HostGraph) -> _RealizedIndex:
+    """The index of ``s`` on ``host``, built and ``s`` validated once per
+    host object (module docstring)."""
+    memo = s._index
+    if memo is not None and memo[0] is host:
+        return memo[1]
+    s.validate(host)
+    bought: set[TimeEdge] = set()
+    shared: set[TimeEdge] = set()
+    for edges in s.strategies.values():
+        shared |= bought & edges
+        bought |= edges
+    groups = group_by_label(bought)
+    bits = terminal_bits(host.nodes, host.terminals)
+    full = sum(bits.values())
+    index = _RealizedIndex(groups, bits, full, frozenset(bought), frozenset(shared))
+    object.__setattr__(s, "_index", (host, index))
+    return index
+
+
+def _others_groups(index: _RealizedIndex, own: frozenset[TimeEdge]) -> LabelGroups:
+    """The realized groups without the edges that only ``own``'s agent buys,
+    which are the other agents' groups; an emptied group is dropped."""
+    mine = own - index.shared
+    return tuple(
+        (label, kept)
+        for label, edges in index.groups
+        if (kept := tuple(edge for edge in edges if edge not in mine))
+    )
+
+
+def _reached_bits(arrival: Iterable[NodeId], bits: Mapping[NodeId, int]) -> int:
+    reached = 0
+    for node in arrival:
+        reached |= bits[node]
+    return reached
 
 
 def agent_cost(v: NodeId, s: StrategyProfile, host: HostGraph) -> CostBreakdown:
     """Cost of agent ``v`` under profile ``s`` (its own reachability counts)."""
     _require_node(host, v)
-    graph = realized_graph(s, host)
-    unreached = _unreached_count(graph.label_groups(), v, host)
+    index = _realized_index(s, host)
+    arrival, _ = propagate_arrivals(index.groups, v, targets=host.terminal_set)
+    unreached = host.terminal_count - _reached_bits(arrival, index.bits).bit_count()
     return CostBreakdown(unreached_terminals=unreached, edges_bought=len(s.strategy(v)))
 
 
@@ -333,8 +381,8 @@ def social_cost(s: StrategyProfile, host: HostGraph) -> CostBreakdown:
     Edges bought by two agents count twice here; at any equilibrium strategies
     are disjoint, so the edge component then equals the realized edge count.
     """
-    graph = realized_graph(s, host)
-    masks = reach_masks(graph.label_groups(), terminal_bits(host.nodes, host.terminals))
+    index = _realized_index(s, host)
+    masks = reach_masks(index.groups, index.bits)
     k = host.terminal_count
     unreached_total = sum(k - mask.bit_count() for mask in masks.values())
     return CostBreakdown(
@@ -405,35 +453,40 @@ def find_improving_response(
     exact threshold) and to the terminal count otherwise (direct edges always
     fit in that budget). ``budget`` caps examined candidate sets; exhausting
     it can only downgrade a none-result to inexact, never flip a verdict.
+
+    Raises:
+        ValueError: ``cap`` is negative.
     """
-    _require_node(host, v)
-    s.validate(host)
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+    current = agent_cost(v, s, host)
+    index = _realized_index(s, host)
     own = s.strategy(v)
     e0 = len(own)
-    others = _other_edges(s, v)
-    groups = group_by_label(others)
     k = host.terminal_count
-    current_unreached = _unreached_count(group_by_label(others | own), v, host)
-    current = CostBreakdown(current_unreached, e0)
+    current_unreached = current.unreached_terminals
     if cap is None:
         cap = e0 - 1 if current_unreached == 0 else k
     r_max = min(cap, e0 - 1) if current_unreached == 0 else cap
     exact_threshold = (e0 - 1) if current_unreached == 0 else k
     if r_max < 0:
         return SearchOutcome(response=None, exact=True, states_examined=0)
-    if CostBreakdown(_unreached_count(groups, v, host), 0) < current:
+    others = _others_groups(index, own)
+    bits = index.bits
+    start_arrival, _ = propagate_arrivals(others, v)
+    if CostBreakdown(k - _reached_bits(start_arrival, bits).bit_count(), 0) < current:
         return SearchOutcome(response=frozenset(), exact=True, states_examined=1)
     if r_max == 0:
         return SearchOutcome(
             response=None, exact=cap >= exact_threshold, states_examined=0
         )
 
-    candidates = _setting_candidates(host, v, s.setting, others)
-    bits = terminal_bits(host.nodes, host.terminals)
-    masks = label_reach_masks(groups, bits, {edge.label for edge in candidates})
-    start_arrival, _ = propagate_arrivals(groups, v)
+    candidates = _setting_candidates(
+        host, v, s.setting, index.bought - (own - index.shared)
+    )
+    masks = label_reach_masks(others, bits, {edge.label for edge in candidates})
     # Over O only, and read only by inner states.
-    adjacency = _adjacency(groups) if r_max >= 2 else {}
+    adjacency = _adjacency(others) if r_max >= 2 else {}
     examined = 0
     for r in range(1, r_max + 1):
         # (unreached, r) < current exactly when at least ``need`` terminals
@@ -447,9 +500,7 @@ def find_improving_response(
             chosen, key, arrival, start = stack.pop()
             last = len(chosen) == r - 1
             if last:
-                reached = 0
-                for node in arrival:
-                    reached |= bits[node]
+                reached = _reached_bits(arrival, bits)
             for i in range(start, len(candidates)):
                 edge = candidates[i]
                 # An edge already chosen never improves the map it is part of.
@@ -493,16 +544,10 @@ def _assert_improving(
     witness: DeviationWitness, s: StrategyProfile, host: HostGraph
 ) -> None:
     # Report invariant: a refutation witness must strictly improve its agent.
-    # The caller validated ``s``; only the witness strategy is new.
-    v, own, new = witness.agent, s.strategy(witness.agent), witness.strategy
-    StrategyProfile(s.setting, {v: new}).validate(host)
-    others = _other_edges(s, v)
-    before = CostBreakdown(
-        _unreached_count(group_by_label(others | own), v, host), len(own)
-    )
-    after = CostBreakdown(
-        _unreached_count(group_by_label(others | new), v, host), len(new)
-    )
+    # The new profile is validated and indexed afresh.
+    v = witness.agent
+    before = agent_cost(v, s, host)
+    after = agent_cost(v, s.with_strategy(v, witness.strategy), host)
     if not after < before:
         raise AssertionError(
             f"internal error: witness for {witness.agent!r} does not improve "
@@ -521,10 +566,9 @@ def is_nash_equilibrium(
     cap = |S_v| - 1. The verdict is inconclusive only if some agent's search
     hit the budget and no other agent was refuted outright.
     """
-    s.validate(host)
-    bits = terminal_bits(host.nodes, host.terminals)
-    masks = reach_masks(group_by_label(s.bought_edges()), bits)
-    full = sum(bits.values())
+    index = _realized_index(s, host)
+    bits, full = index.bits, index.full
+    masks = reach_masks(index.groups, bits)
     examined_total = 0
     inconclusive = False
     for v in host.nodes:
@@ -578,30 +622,6 @@ def direct_terminal_profile(host: HostGraph, setting: Setting) -> StrategyProfil
         if bought:
             strategies[v] = bought
     return StrategyProfile(setting=setting, strategies=strategies)
-
-
-class _RealizedIndex(NamedTuple):
-    """One profile's realized graph, shared by every agent's greedy check."""
-
-    groups: LabelGroups
-    adjacency: dict[NodeId, list[tuple[int, NodeId]]]
-    bits: dict[NodeId, int]
-    full: int
-    shared: frozenset[TimeEdge]  # edges that two or more agents buy
-
-
-def _realized_index(s: StrategyProfile, host: HostGraph) -> _RealizedIndex:
-    s.validate(host)
-    bought: set[TimeEdge] = set()
-    shared: set[TimeEdge] = set()
-    for edges in s.strategies.values():
-        shared |= bought & edges
-        bought |= edges
-    groups = group_by_label(bought)
-    bits = terminal_bits(host.nodes, host.terminals)
-    return _RealizedIndex(
-        groups, _adjacency(groups), bits, sum(bits.values()), frozenset(shared)
-    )
 
 
 def _tree_children(
@@ -667,22 +687,33 @@ def _lost_terminals(
     return lost
 
 
-def _greedy_move(
-    v: NodeId, s: StrategyProfile, host: HostGraph, index: _RealizedIndex
+def greedy_improving_response(
+    v: NodeId, s: StrategyProfile, host: HostGraph
 ) -> GreedyMove | None:
-    """:func:`greedy_improving_response` over a prebuilt index of ``s``."""
+    """First improving single-edge add or remove, adds scanned first.
+
+    An add must newly reach at least one terminal; a remove must lose none.
+    Those conditions are exactly strict lexicographic cost improvement for
+    single-edge changes. Swaps are intentionally not considered.
+
+    One propagation over the realized graph gives ``v``'s arrival map and
+    earliest-arrival tree. Adds are scanned only when ``v`` misses a
+    terminal; each candidate is tested by one lookup in per-label reach
+    masks. An own edge is removable when another agent also buys it, when it
+    is no node's tree edge, or when a walk inside the subtree below it
+    re-reaches every terminal there (module docstring).
+    """
+    _require_node(host, v)
+    index = _realized_index(s, host)
     own = s.strategy(v)
     arrival, predecessor = propagate_arrivals(
         index.groups, v, track_predecessors=True
     )
-    bits = index.bits
-    reached = 0
-    for node in arrival:
-        reached |= bits[node]
+    reached = _reached_bits(arrival, index.bits)
     if reached != index.full:
         candidates = _setting_candidates(host, v, s.setting, ())
         masks = label_reach_masks(
-            index.groups, bits, {edge.label for edge in candidates}
+            index.groups, index.bits, {edge.label for edge in candidates}
         )
         for edge in candidates:
             # Only an edge that improves the map can reach anything new.
@@ -703,40 +734,21 @@ def _greedy_move(
     return None
 
 
-def greedy_improving_response(
-    v: NodeId, s: StrategyProfile, host: HostGraph
-) -> GreedyMove | None:
-    """First improving single-edge add or remove, adds scanned first.
-
-    An add must newly reach at least one terminal; a remove must lose none.
-    Those conditions are exactly strict lexicographic cost improvement for
-    single-edge changes. Swaps are intentionally not considered.
-
-    One propagation over the realized graph gives ``v``'s arrival map and
-    earliest-arrival tree. Adds are scanned only when ``v`` misses a
-    terminal; each candidate is tested by one lookup in per-label reach
-    masks. An own edge is removable when another agent also buys it, when it
-    is no node's tree edge, or when a walk inside the subtree below it
-    re-reaches every terminal there (module docstring).
-    """
-    _require_node(host, v)
-    return _greedy_move(v, s, host, _realized_index(s, host))
-
-
 def is_greedy_equilibrium(s: StrategyProfile, host: HostGraph) -> VerificationReport:
     """GE verification: no agent has an improving single-edge add or remove.
 
-    The realized graph is indexed once and one backward sweep gives every
-    agent's reached terminals. An agent that buys nothing and reaches every
-    terminal has no add and no remove, so it is skipped; every other agent
-    gets one :func:`greedy_improving_response` check over the shared index.
+    One backward sweep over the profile's index gives every agent's reached
+    terminals. An agent that buys nothing and reaches every terminal has no
+    add and no remove, so it is skipped; every other agent gets one
+    :func:`greedy_improving_response` check, which reads the same memoized
+    index.
     """
     index = _realized_index(s, host)
     masks = reach_masks(index.groups, index.bits)
     for v in host.nodes:
         if masks[v] == index.full and v not in s.strategies:
             continue
-        move = _greedy_move(v, s, host, index)
+        move = greedy_improving_response(v, s, host)
         if move is not None:
             witness = DeviationWitness(agent=v, strategy=move.new_strategy)
             _assert_improving(witness, s, host)
@@ -754,8 +766,9 @@ def greedy_dynamics(
 
     On convergence the final profile is re-verified by is_greedy_equilibrium
     and the report attached. Non-convergence is reported, not raised;
-    ``max_rounds=0`` runs no round and reports exactly that. The realized
-    graph is indexed again (and the new profile validated) only after a move.
+    ``max_rounds=0`` runs no round and reports exactly that. Each profile
+    memoizes its index, so the realized graph is indexed again (and the new
+    profile validated) only after a move, and the final check reuses it.
 
     Raises:
         ValueError: ``max_rounds`` is negative.
@@ -763,14 +776,13 @@ def greedy_dynamics(
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
     current = s0
-    index = _realized_index(current, host)
+    current.validate(host)
     for round_index in range(1, max_rounds + 1):
         moved = False
         for v in host.nodes:
-            move = _greedy_move(v, current, host, index)
+            move = greedy_improving_response(v, current, host)
             if move is not None:
                 current = current.with_strategy(v, move.new_strategy)
-                index = _realized_index(current, host)
                 moved = True
         if not moved:
             report = is_greedy_equilibrium(current, host)
@@ -906,8 +918,7 @@ def equilibrium_certificates(
       Global greedy equilibria can be denser, so the bound is not attached
       for kind "ge".
     """
-    graph = realized_graph(s, host)
-    m = graph.time_edge_count
+    m = len(_realized_index(s, host).bought)
     n = host.node_count
     k = host.terminal_count
     lifetime = host.lifetime

@@ -101,7 +101,6 @@ def _verify_chunk(
     found = []
     for owners in owner_tuples:
         profile = _profile_from_owners(setting, edges, owners)
-        profile.validate(host)
         for agent, own in profile.strategies.items():
             key = (agent, own)
             if key not in stable:

@@ -204,6 +204,15 @@ def naive_min_spanner(host):
     raise AssertionError("a complete host always spans")
 
 
+def oracle_other_edges(s, v):
+    """Every edge bought by an agent other than ``v``."""
+    others = set()
+    for agent, edges in s.strategies.items():
+        if agent != v:
+            others |= edges
+    return others
+
+
 def oracle_find_improving_response(v, s, host, cap=None, budget=None):
     """The deviation search as first written: recursive, one full propagation
     per examined state, states keyed by frozensets of time edges.
@@ -215,10 +224,7 @@ def oracle_find_improving_response(v, s, host, cap=None, budget=None):
     s.validate(host)
     own = s.strategy(v)
     e0 = len(own)
-    others = set()
-    for agent, edges in s.strategies.items():
-        if agent != v:
-            others |= edges
+    others = oracle_other_edges(s, v)
     groups = group_by_label(others)
     k = host.terminal_count
 
@@ -330,10 +336,7 @@ def oracle_greedy_improving_response(v, s, host):
     s.validate(host)
     own = s.strategy(v)
     realized = s.bought_edges()
-    others = set()
-    for agent, edges in s.strategies.items():
-        if agent != v:
-            others |= edges
+    others = oracle_other_edges(s, v)
 
     def unreached_with(edges):
         arrival, _ = propagate_arrivals(group_by_label(edges), v)

@@ -41,7 +41,7 @@ from tempo_ncg import (
 import tempo_ncg.game
 from oracles import oracle_find_improving_response
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
-from tempo_ncg.game import SearchOutcome
+from tempo_ncg.game import SearchOutcome, _realized_index
 
 
 def edge(u, v, label):
@@ -123,7 +123,7 @@ def _count_host_lookups(monkeypatch):
 def test_validation_memo_is_per_host_object():
     inst = fig5_left_instance()
     s = inst.profile
-    s.validate(inst.host)
+    _realized_index(s, inst.host)
     # A host that lacks one of the profile's edges still rejects it.
     dropped = next(iter(s.bought_edges()))
     graph = inst.host.graph.without_time_edge(dropped)
@@ -132,6 +132,8 @@ def test_validation_memo_is_per_host_object():
         s.validate(lacking)
     with pytest.raises(InvalidPurchase):
         realized_graph(s, lacking)
+    with pytest.raises(InvalidPurchase):
+        agent_cost(s.buyers[0], s, lacking)
     s.validate(inst.host)
 
 
@@ -146,7 +148,8 @@ def test_validation_memo_skips_only_a_repeat_on_the_same_host(monkeypatch):
     twin = HostGraph(graph=inst.host.graph, terminals=inst.host.terminals)
     s.validate(twin)
     assert len(calls) == s.total_purchases()
-    # Copies and derived profiles carry no memo.
+    # Copies and derived profiles carry no memo, and build their own index.
+    index = _realized_index(s, inst.host)
     agent = s.buyers[0]
     for other in (
         copy.copy(s),
@@ -156,6 +159,8 @@ def test_validation_memo_skips_only_a_repeat_on_the_same_host(monkeypatch):
         calls.clear()
         other.validate(inst.host)
         assert len(calls) == other.total_purchases()
+        fresh = _realized_index(other, inst.host)
+        assert fresh is not index and fresh == index
 
 
 def test_validation_memo_leaves_equality_and_pickle_alone():
@@ -164,6 +169,7 @@ def test_validation_memo_leaves_equality_and_pickle_alone():
     s = inst.profile
     before = pickle.dumps(s)
     s.validate(inst.host)
+    _realized_index(s, inst.host)
     assert pickle.dumps(s) == before
     assert s == fresh and fresh == s
 
@@ -259,22 +265,28 @@ def test_greedy_equilibrium_verdicts():
     assert report.witness.strategy == {edge("v1", "v4", 1)}
 
 
-def test_greedy_check_propagates_once_per_buyer(monkeypatch):
-    dense = dense_cycle_instance(6)
+def _record_calls(monkeypatch, name):
+    """Record the positional arguments of each call to ``game.<name>``."""
     calls = []
-    kernel = tempo_ncg.game.propagate_arrivals
+    real = getattr(tempo_ncg.game, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return kernel(*args, **kwargs)
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(tempo_ncg.game, "propagate_arrivals", counted)
+    monkeypatch.setattr(tempo_ncg.game, name, counted)
+    return calls
+
+
+def test_greedy_check_propagates_once_per_buyer(monkeypatch):
+    dense = dense_cycle_instance(6)
+    calls = _record_calls(monkeypatch, "propagate_arrivals")
     assert is_greedy_equilibrium(dense.profile, dense.host).is_equilibrium
     # One sweep per buyer: non-buyers that reach every terminal are skipped,
     # and removes repair a subtree. One sweep per agent plus one per own
     # edge made 72 + 276 = 348.
     assert len(calls) == 48
-    assert sorted(calls) == list(dense.profile.buyers)
+    assert sorted(args[1] for args in calls) == list(dense.profile.buyers)
 
 
 def test_ge_synthesized_from_minimal_spanner_verifies():
@@ -361,6 +373,42 @@ def test_deep_searches_match_the_recursive_oracle_on_the_4_cube(budget):
             want.exact,
             want.states_examined,
         )
+
+
+def test_deviation_search_propagates_twice(monkeypatch):
+    host, profile = hypercube_equilibrium(4)
+    v = max(profile.buyers, key=lambda b: len(profile.strategy(b)))
+    calls = _record_calls(monkeypatch, "propagate_arrivals")
+    outcome = find_improving_response(v, profile, host)
+    assert outcome.states_examined > 1
+    # One sweep prices the current strategy; one over the other agents'
+    # edges prices the empty response and starts the search. Pricing the
+    # empty response by a sweep of its own made three.
+    assert [args[1] for args in calls] == [v, v]
+
+
+def test_nash_check_groups_the_realized_graph_once(monkeypatch):
+    host, profile = hypercube_equilibrium(4)
+    fresh = copy.copy(profile)
+    calls = _record_calls(monkeypatch, "group_by_label")
+    assert is_nash_equilibrium(fresh, host).is_equilibrium
+    # Every buyer's search reads the profile's index; regrouping the other
+    # agents' edges and the realized graph per buyer made 1 + 2 * 15 = 31.
+    assert len(calls) == 1
+
+
+def test_negative_cap_is_rejected():
+    # With 000's edge to 001 bought by both, 000 has a 2-edge improving
+    # response; a negative cap used to report "none, exact" for it.
+    host, profile = hypercube_equilibrium(3)
+    doubled = profile.with_strategy(
+        "001", profile.strategy("001") | {edge("000", "001", 4)}
+    )
+    found = find_improving_response("000", doubled, host)
+    assert found.exact and len(found.response) == 2
+    assert not find_improving_response("000", doubled, host, cap=0).exact
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        find_improving_response("000", doubled, host, cap=-1)
 
 
 def test_nash_check_searches_only_buyers(monkeypatch):

@@ -1,5 +1,6 @@
 """Invariants checked over randomized inputs."""
 
+import copy
 import zlib
 
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     oracle_is_minimal_spanner,
     oracle_is_spanner,
     oracle_mono_label_tree,
+    oracle_other_edges,
     oracle_prune_to_minimal,
     oracle_reach,
     oracle_sweep_ownership,
@@ -64,7 +66,7 @@ from tempo_ncg import (
     validate_and_normalize_host,
 )
 from tempo_ncg.core import group_by_label, label_reach_masks, propagate_arrivals
-from tempo_ncg.game import _extend_arrivals
+from tempo_ncg.game import _extend_arrivals, _others_groups, _realized_index
 
 
 def _pairs(nodes):
@@ -544,6 +546,21 @@ def test_greedy_checks_match_the_per_edge_oracle(case):
     assert (result.profile, result.converged, result.rounds) == oracle_greedy_dynamics(
         profile, host, 4
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_cases())
+def test_others_groups_match_the_other_agents_edges(case):
+    host, profile = case
+    is_greedy_equilibrium(profile, host)
+    index = _realized_index(profile, host)
+    # The check above left its index on the profile; an equal profile
+    # without one builds the same index afresh.
+    assert index == _realized_index(copy.copy(profile), host)
+    for v in host.nodes:
+        assert _others_groups(index, profile.strategy(v)) == group_by_label(
+            oracle_other_edges(profile, v)
+        )
 
 
 @settings(max_examples=150, deadline=None)
