@@ -814,11 +814,16 @@ def random_host(
 ) -> HostGraph:
     """Seeded random complete host with uniform labels, then normalized.
 
-    ``max_label`` defaults to n; ``extra_label_prob`` is the chance of each
-    additional label on a pair (geometric). Terminals are a seeded sample.
+    ``max_label`` (at least 1) defaults to n; ``extra_label_prob`` (in [0, 1))
+    is the chance of each additional label on a pair (geometric). Terminals
+    are a seeded sample. Bad parameters raise :class:`PreconditionFailed`.
     """
     if n < 1 or not 1 <= k <= n:
         raise PreconditionFailed(f"bad size parameters n={n}, k={k}")
+    if max_label is not None and max_label < 1:
+        raise PreconditionFailed(f"max_label must be at least 1, got {max_label}")
+    if not 0 <= extra_label_prob < 1:  # from 1 on, the label loop never stops
+        raise PreconditionFailed(f"extra_label_prob {extra_label_prob} is not in [0, 1)")
     rng = random.Random(seed)
     width = len(str(n - 1)) if n > 1 else 1
     nodes = [f"n{i:0{width}d}" for i in range(n)]

@@ -11,12 +11,13 @@ improving replacement strategy at all, so every NE is a GE. Swap moves are
 never considered by the greedy search; the exact NE search subsumes them.
 
 Every check reads one index of a profile's realized graph: its label groups,
-the terminal bits, the bought edges, those that two or more agents buy, and
-the adjacency once a greedy check asks for it. Like a validation, it is memoized
-on the profile outside the fields, per host object, so equality and pickling
-ignore it and copies build their own. An edge of the realized graph is not
-one of the other agents' exactly when ``v`` alone buys it, so the realized
-groups without ``own - shared`` are the others' groups, already in order.
+the terminal bits, the bought edges, those that two or more agents buy and,
+once asked for, the adjacency and the reach masks that price every agent.
+Like a validation, it is memoized on the profile outside the fields, per host
+object, so equality and pickling ignore it and copies build their own; a move
+copies its parent's, updated by the one edge. An edge of the realized graph
+is not one of the other agents' exactly when ``v`` alone buys it, so the
+realized groups without ``own - shared`` are the others' groups, in order.
 
 Exactness of the NE search rests on two facts. First, on a complete host an
 agent missing a terminal always has an improving response (direct edges to
@@ -207,13 +208,16 @@ class StrategyProfile:
             if agent not in host.graph:
                 raise UnknownNode(f"agent {agent!r} is not a node of the host")
             for edge in edges:
-                if not host.has_time_edge(edge):
-                    raise InvalidPurchase(f"{edge} is not offered by the host")
-                if self.setting is Setting.LOCAL and not edge.touches(agent):
-                    raise InvalidPurchase(
-                        f"local agent {agent!r} cannot buy non-incident edge {edge}"
-                    )
+                self._check_purchase(agent, edge, host)
         object.__setattr__(self, "_valid_for", host)
+
+    def _check_purchase(self, agent: NodeId, edge: TimeEdge, host: HostGraph) -> None:
+        if not host.has_time_edge(edge):
+            raise InvalidPurchase(f"{edge} is not offered by the host")
+        if self.setting is Setting.LOCAL and not edge.touches(agent):
+            raise InvalidPurchase(
+                f"local agent {agent!r} cannot buy non-incident edge {edge}"
+            )
 
 
 @dataclass(frozen=True, order=True)
@@ -323,9 +327,50 @@ class _RealizedIndex:
     bought: frozenset[TimeEdge]
     shared: frozenset[TimeEdge]  # edges that two or more agents buy
 
+    @classmethod
+    def build(
+        cls, host: HostGraph, bought: Collection[TimeEdge], shared=frozenset()
+    ) -> _RealizedIndex:
+        bits = terminal_bits(host.nodes, host.terminals)
+        groups = group_by_label(bought)
+        return cls(groups, bits, sum(bits.values()), frozenset(bought), frozenset(shared))
+
     @functools.cached_property
     def adjacency(self) -> dict[NodeId, list[tuple[int, NodeId]]]:
         return _adjacency(self.groups)
+
+    @functools.cached_property
+    def masks(self) -> dict[NodeId, int]:
+        return reach_masks(self.groups, self.bits)
+
+    def moved(self, s: StrategyProfile, edge: TimeEdge) -> _RealizedIndex:
+        """The index of ``s``, a profile that differs from this index's only in
+        who buys ``edge``; this index is left unchanged (module docstring)."""
+        buyers = sum(edge in own for own in s.strategies.values())
+        shared = self.shared | {edge} if buyers > 1 else self.shared - {edge}
+        groups, bought = self.groups, self.bought
+        adjacency = self.__dict__.get("adjacency")
+        if (buyers > 0) != (edge in bought):
+            bought = bought ^ {edge}
+            by_label = dict(groups)
+            by_label[edge.label] = tuple(sorted({*by_label.get(edge.label, ())} ^ {edge}))
+            groups = tuple(group for group in sorted(by_label.items()) if group[1])
+            if adjacency is not None:
+                rows = {
+                    x: sorted({*adjacency.get(x, ())} ^ {(edge.label, y)})
+                    for x, y in ((edge.u, edge.v), (edge.v, edge.u))
+                }
+                adjacency = {x: row for x, row in {**adjacency, **rows}.items() if row}
+        index = _RealizedIndex(groups, self.bits, self.full, bought, shared)
+        if adjacency is not None:
+            index.__dict__["adjacency"] = adjacency
+        return index
+
+
+def _remember(s: StrategyProfile, host: HostGraph, index: _RealizedIndex) -> None:
+    """Memoize ``index`` as ``s``'s, with ``s`` proved valid on ``host``."""
+    object.__setattr__(s, "_valid_for", host)
+    object.__setattr__(s, "_index", (host, index))
 
 
 def _realized_index(s: StrategyProfile, host: HostGraph) -> _RealizedIndex:
@@ -340,11 +385,8 @@ def _realized_index(s: StrategyProfile, host: HostGraph) -> _RealizedIndex:
     for edges in s.strategies.values():
         shared |= bought & edges
         bought |= edges
-    groups = group_by_label(bought)
-    bits = terminal_bits(host.nodes, host.terminals)
-    full = sum(bits.values())
-    index = _RealizedIndex(groups, bits, full, frozenset(bought), frozenset(shared))
-    object.__setattr__(s, "_index", (host, index))
+    index = _RealizedIndex.build(host, bought, shared)
+    _remember(s, host, index)
     return index
 
 
@@ -381,9 +423,8 @@ def social_cost(s: StrategyProfile, host: HostGraph) -> CostBreakdown:
     Edges bought by two agents count twice here; at any equilibrium strategies
     are disjoint, so the edge component then equals the realized edge count.
     """
-    index = _realized_index(s, host)
-    masks = reach_masks(index.groups, index.bits)
     k = host.terminal_count
+    masks = _realized_index(s, host).masks
     unreached_total = sum(k - mask.bit_count() for mask in masks.values())
     return CostBreakdown(
         unreached_terminals=unreached_total, edges_bought=s.total_purchases()
@@ -459,11 +500,12 @@ def find_improving_response(
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    current = agent_cost(v, s, host)
+    _require_node(host, v)
     index = _realized_index(s, host)
     own = s.strategy(v)
     e0 = len(own)
     k = host.terminal_count
+    current = CostBreakdown(k - index.masks[v].bit_count(), e0)
     current_unreached = current.unreached_terminals
     if cap is None:
         cap = e0 - 1 if current_unreached == 0 else k
@@ -567,8 +609,7 @@ def is_nash_equilibrium(
     hit the budget and no other agent was refuted outright.
     """
     index = _realized_index(s, host)
-    bits, full = index.bits, index.full
-    masks = reach_masks(index.groups, bits)
+    bits, full, masks = index.bits, index.full, index.masks
     examined_total = 0
     inconclusive = False
     for v in host.nodes:
@@ -744,9 +785,8 @@ def is_greedy_equilibrium(s: StrategyProfile, host: HostGraph) -> VerificationRe
     index.
     """
     index = _realized_index(s, host)
-    masks = reach_masks(index.groups, index.bits)
     for v in host.nodes:
-        if masks[v] == index.full and v not in s.strategies:
+        if index.masks[v] == index.full and v not in s.strategies:
             continue
         move = greedy_improving_response(v, s, host)
         if move is not None:
@@ -766,9 +806,9 @@ def greedy_dynamics(
 
     On convergence the final profile is re-verified by is_greedy_equilibrium
     and the report attached. Non-convergence is reported, not raised;
-    ``max_rounds=0`` runs no round and reports exactly that. Each profile
-    memoizes its index, so the realized graph is indexed again (and the new
-    profile validated) only after a move, and the final check reuses it.
+    ``max_rounds=0`` runs no round and reports exactly that. After a move the
+    new profile's index is its parent's updated by the one edge, and only an
+    added edge is validated; the final check reuses that index.
 
     Raises:
         ValueError: ``max_rounds`` is negative.
@@ -782,7 +822,11 @@ def greedy_dynamics(
         for v in host.nodes:
             move = greedy_improving_response(v, current, host)
             if move is not None:
+                parent = _realized_index(current, host)
                 current = current.with_strategy(v, move.new_strategy)
+                if move.action == "add":
+                    current._check_purchase(v, move.edge, host)
+                _remember(current, host, parent.moved(current, move.edge))
                 moved = True
         if not moved:
             report = is_greedy_equilibrium(current, host)

@@ -14,7 +14,10 @@ edge exactly one owner, so the other agents' edges are exactly the target
 minus the agent's own set ``S``. An agent's best response therefore depends
 on ``(agent, S)`` alone, and a sweep searches each such pair once, however
 many assignments share it. Agents that buy nothing need no search: the
-target spans, so they already pay the least possible cost (0, 0).
+target spans, so they already pay the least possible cost (0, 0). One index
+of the target, with no edge bought twice, serves every assignment, and none
+is validated on its own: the sweep checks the target's edges against the
+host, and each owner is an end of its edge (local) or a host node (global).
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .game import (
     Setting,
     StrategyProfile,
     _assert_improving,
+    _RealizedIndex,
+    _remember,
     find_improving_response,
 )
 
@@ -95,12 +100,14 @@ def _verify_chunk(
 
     ``edges`` reach every terminal from every host node, so an assignment
     is an equilibrium exactly when no buyer has an improving response
-    (module docstring).
+    (module docstring). Every assignment shares one index of ``edges``.
     """
+    index = _RealizedIndex.build(host, edges)
     stable: dict[tuple[NodeId, frozenset[TimeEdge]], bool] = {}
     found = []
     for owners in owner_tuples:
         profile = _profile_from_owners(setting, edges, owners)
+        _remember(profile, host, index)
         for agent, own in profile.strategies.items():
             key = (agent, own)
             if key not in stable:

@@ -120,6 +120,21 @@ def test_gen_rejected_parameter_exits_2(runner):
     assert result.exit_code == 2
 
 
+def test_gen_two_terminal_rejects_a_label_loop_that_never_stops(runner):
+    # extra-label-prob 1 or more used to make the label loop spin forever.
+    for prob in ("1", "2", "-0.5"):
+        result = invoke(runner, "gen", "two-terminal", "--n", "3",
+                        "--extra-label-prob", prob)
+        assert result.exit_code == 2
+        assert "extra_label_prob" in result.stderr and "[0, 1)" in result.stderr
+
+
+def test_gen_two_terminal_rejects_a_label_cap_below_one(runner):
+    result = invoke(runner, "gen", "two-terminal", "--n", "3", "--max-label", "0")
+    assert result.exit_code == 2
+    assert "max_label must be at least 1, got 0" in result.stderr
+
+
 def test_gen_unknown_family_is_a_usage_error(runner):
     result = invoke(runner, "gen", "moebius")
     assert result.exit_code == 2

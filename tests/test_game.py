@@ -41,7 +41,7 @@ from tempo_ncg import (
 import tempo_ncg.game
 from oracles import oracle_find_improving_response
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
-from tempo_ncg.game import SearchOutcome, _realized_index
+from tempo_ncg.game import SearchOutcome, _others_groups, _realized_index
 
 
 def edge(u, v, label):
@@ -375,16 +375,19 @@ def test_deep_searches_match_the_recursive_oracle_on_the_4_cube(budget):
         )
 
 
-def test_deviation_search_propagates_twice(monkeypatch):
+def test_deviation_search_propagates_once(monkeypatch):
     host, profile = hypercube_equilibrium(4)
     v = max(profile.buyers, key=lambda b: len(profile.strategy(b)))
     calls = _record_calls(monkeypatch, "propagate_arrivals")
     outcome = find_improving_response(v, profile, host)
     assert outcome.states_examined > 1
-    # One sweep prices the current strategy; one over the other agents'
-    # edges prices the empty response and starts the search. Pricing the
-    # empty response by a sweep of its own made three.
-    assert [args[1] for args in calls] == [v, v]
+    # The current strategy is priced by the index's reach masks; the one
+    # sweep, over the other agents' edges, prices the empty response and
+    # starts the search. A sweep pricing the current strategy made two.
+    index = _realized_index(profile, host)
+    assert [args[:2] for args in calls] == [
+        (_others_groups(index, profile.strategy(v)), v)
+    ]
 
 
 def test_nash_check_groups_the_realized_graph_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Invariants checked over randomized inputs."""
 
 import copy
+import dataclasses
 import zlib
 
 import pytest
@@ -561,6 +562,57 @@ def test_others_groups_match_the_other_agents_edges(case):
         assert _others_groups(index, profile.strategy(v)) == group_by_label(
             oracle_other_edges(profile, v)
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_cases(), st.randoms(use_true_random=False))
+def test_one_edge_update_matches_a_rebuild(case, rng):
+    host, profile = case
+    index = _realized_index(profile, host)
+    before = copy.deepcopy(index)
+    before_adjacency = copy.deepcopy(index.adjacency)
+    # Dynamics derive each profile's index from its parent's, the first
+    # parent being the caller's profile, whose index they must not touch.
+    result = greedy_dynamics(profile, host, max_rounds=4)
+    assert (result.profile, result.converged, result.rounds) == oracle_greedy_dynamics(
+        profile, host, 4
+    )
+    assert _realized_index(profile, host) is index
+    assert index == before and index.adjacency == before_adjacency
+    assert _realized_index(result.profile, host) == _realized_index(
+        copy.copy(result.profile), host
+    )
+    # Random single-edge moves, valid but not necessarily improving.
+    for _ in range(12):
+        v = rng.choice(host.nodes)
+        own = profile.strategy(v)
+        kind = rng.choice(["add", "add a bought edge", "remove", "remove a shared edge"])
+        if kind == "remove":
+            options = sorted(own)
+        elif kind == "remove a shared edge":
+            options = sorted(own & index.shared)
+        else:
+            options = [
+                e
+                for e in host.sorted_time_edges
+                if e not in own
+                and (profile.setting is Setting.GLOBAL or e.touches(v))
+                and (kind == "add" or e in index.bought)
+            ]
+        if not options:
+            continue
+        e = rng.choice(options)
+        child = profile.with_strategy(v, own ^ {e})
+        if rng.random() < 0.5:
+            index.adjacency  # a parent with its adjacency built
+        else:
+            index = dataclasses.replace(index)  # one without
+        moved = index.moved(child, e)
+        fresh = _realized_index(copy.copy(child), host)
+        assert moved == fresh
+        assert moved.adjacency == fresh.adjacency
+        assert moved.masks == fresh.masks
+        profile, index = child, moved
 
 
 @settings(max_examples=150, deadline=None)

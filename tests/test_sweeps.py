@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import tempo_ncg.game
 import tempo_ncg.sweeps
 from tempo_ncg import (
     HostGraph,
@@ -11,6 +12,7 @@ from tempo_ncg import (
     PreconditionFailed,
     SearchTooLarge,
     Setting,
+    StrategyProfile,
     TemporalGraph,
     TimeEdge,
     Verdict,
@@ -135,6 +137,34 @@ def test_sweep_searches_each_agent_and_own_set_once(monkeypatch):
                 (agent, frozenset(e for e, o in zip(needers, owners) if o == agent))
             )
     assert set(searched) <= keys
+
+
+def test_sweep_indexes_its_target_once(monkeypatch):
+    inst = fig5_right_instance()
+    target = realized_graph(inst.profile, inst.host)
+    grouped = []
+    real_group = tempo_ncg.game.group_by_label
+    monkeypatch.setattr(
+        tempo_ncg.game,
+        "group_by_label",
+        lambda edges: grouped.append(frozenset(edges)) or real_group(edges),
+    )
+    validated = []
+    real_validate = StrategyProfile.validate
+    monkeypatch.setattr(
+        StrategyProfile,
+        "validate",
+        lambda s, host: validated.append(s) or real_validate(s, host),
+    )
+    result = sweep_ownership(inst.host, target, Setting.GLOBAL, workers=1)
+    assert result.survivors == 768
+    edges = frozenset(target.time_edges())
+    # All 768 assignments share one index of the target. The other builds
+    # and every validation belong to the refutation witnesses, which are
+    # priced afresh and never realize the target.
+    assert grouped.count(edges) == 1
+    assert len(grouped) - 1 == len(validated) > 0
+    assert all(profile.bought_edges() != edges for profile in validated)
 
 
 # -- short circuits and errors ----------------------------------------------
