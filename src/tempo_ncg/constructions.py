@@ -11,6 +11,7 @@ direct spanning-tree equilibrium for hosts with at most two labels.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections.abc import Iterable, Iterator, Mapping
@@ -22,16 +23,18 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     connected_components,
+    group_by_label,
     is_terminal_spanner,
     kruskal,
+    label_reach_masks,
+    terminal_bits,
     validate_and_normalize_host,
 )
-from .errors import PreconditionFailed, SettingMismatch
+from .errors import IncompleteHost, PreconditionFailed, SettingMismatch
 from .game import (
     Setting,
     StrategyProfile,
     Verdict,
-    agent_cost,
     is_greedy_equilibrium,
     is_nash_equilibrium,
     realized_graph,
@@ -327,113 +330,108 @@ def extend_with_terminal(
     return new_host, profile
 
 
+def _hang(host: HostGraph, strategies: dict[NodeId, frozenset[TimeEdge]]) -> list[NodeId]:
+    """Hang nodes off the bought edges, one edge each, into ``strategies``;
+    return the nodes left over.
+
+    ``latest[w]`` is the latest label at which a walk standing at ``w`` still
+    reaches both terminals. Latest first, an unplaced ``v`` buys the latest
+    label ``L <= latest[w]`` of its pair with a placed ``w``: ``latest[v] = L``.
+    """
+    groups = group_by_label(e for bought in strategies.values() for e in bought)
+    masks = label_reach_masks(groups, terminal_bits(host.nodes, host.terminals), ())
+    # Labels ascend, so the latest one at which w has both terminal bits wins.
+    latest = {w: label for label in sorted(masks) for w, m in masks[label].items() if m == 3}
+    heap = sorted((-label, w, w) for w, label in latest.items())  # sorted is a heap
+    while heap:
+        minus, v, w = heapq.heappop(heap)
+        if v != w:  # v hangs off w unless it already hangs
+            if v in latest:
+                continue
+            latest[v] = -minus
+            strategies[v] = frozenset({TimeEdge(v, w, -minus)})
+        for u in host.nodes:
+            if u not in latest:
+                below = [l for l in host.labels(u, v) if l <= -minus]
+                if below:
+                    heapq.heappush(heap, (-below[-1], u, v))
+    return [v for v in host.nodes if v not in latest]
+
+
 def two_terminal_ne(
     host: HostGraph, setting: Setting = Setting.GLOBAL
 ) -> StrategyProfile:
     """Equilibrium for any host with exactly two terminals, <= n edges.
 
-    Non-terminals split by whether their cheapest edge toward t1 is no later
-    than toward t2 (ties count as t1-side). Both sides nonempty gives a ring
-    through both terminals with leaves hanging off their near terminal; one
-    side empty gives a star at that side's terminal, or a two-edge bridge
-    node when the star's latest spoke misses the direct terminal link, plus
-    the bridge-repair loop: while the bridge agent can replace its two edges
-    by one incident edge, do so and promote the next node to bridge duty.
-    The result is verified exactly; label ties can make single edges
-    droppable, in which case the witnessed removals are applied and
-    verification reruns. The profile buys incident edges only, so it is an
-    equilibrium in both settings.
+    A core joins ``t1`` and ``t2`` both ways; every other node then hangs off
+    it by buying one edge (:func:`_hang`). The first core under which every
+    node hangs is used. Along a path, the first end of an edge buys it.
+
+    1. Pair: ``t2`` buys the latest label ``G`` of ``(t1, t2)``.
+    2. Tie: ``t1 -x- m -x- t2``, for the largest label ``x`` of both
+       ``(t1, m)`` and ``(m, t2)``, then the smallest ``m``.
+    3. Ring: ``t1 -p- m -q- t2`` and ``t2 -r- n -s- t1`` with ``m != n``.
+       ``q`` is the latest ``(m, t2)`` label and ``p < q`` the latest
+       ``(t1, m)`` label below it, for the largest ``p``, then the smallest
+       ``m``; the other half likewise with the terminals swapped.
+    4. Bridge: the pair and its hung nodes stay. A node ``b`` left over buys
+       ``(b, t1, p)`` and ``(b, t2, q)``, ``p != q``, for the largest
+       ``min(p, q)``; ``t1`` buys the pair edge instead if ``p > q``. Then
+       the rest hang.
+
+    Why it is an equilibrium: each agent reaches both terminals, so only a
+    smaller strategy could be better. A hung node pays (0, 1), and dropping
+    its edge cuts it off; hung edges form pendant trees, giving no agent a new
+    route. Strict label orders make every core edge its buyer's only route to
+    some terminal. Every label from ``b`` to a terminal is later than ``G``,
+    as ``b`` could not hang off the pair; one edge serving ``b`` instead
+    would, with the pair's forest fixed, let a node left over hang off the
+    pair. All purchases are incident, so the global equilibrium is also a
+    local one. The result is still checked.
 
     Raises:
-        PreconditionFailed: terminal count differs from two, or the
-            construction refuses the host: the bridge repair runs out of
-            nodes, the profile fails to stabilize, or it ends with a
-            non-incident edge (about 1 random host in 600 at n = 10..13).
+        PreconditionFailed: terminal count differs from two.
+        IncompleteHost: some node pair has no label.
     """
     if host.terminal_count != 2:
         raise PreconditionFailed("construction needs exactly two terminals")
+    if host.graph.static_edge_count != host.node_count * (host.node_count - 1) // 2:
+        raise IncompleteHost("the two-terminal construction needs a complete host")
     t1, t2 = host.terminals
-    rest = [v for v in host.nodes if v not in (t1, t2)]
-    m_side = [v for v in rest if host.min_label(t1, v) <= host.min_label(v, t2)]
-    n_side = [v for v in rest if host.min_label(t1, v) > host.min_label(v, t2)]
+    labels = host.labels
+    inner = [v for v in host.nodes if v not in host.terminal_set]
 
-    def descending(near: NodeId, side: list[NodeId]) -> list[NodeId]:
-        return sorted(side, key=lambda v: (-host.min_label(near, v), v))
+    def core(*path: tuple[NodeId, NodeId, int]) -> dict[NodeId, frozenset[TimeEdge]]:
+        return {a: frozenset({TimeEdge(a, b, l)}) for a, b, l in path}
 
-    strategies: dict[NodeId, frozenset[TimeEdge]] = {}
+    def halves(a: NodeId, b: NodeId) -> list[tuple[int, NodeId, int]]:
+        found = [(m, labels(m, b)[-1]) for m in inner]
+        found = [(max((p for p in labels(a, m) if p < q), default=0), m, q) for m, q in found]
+        return sorted((-p, m, q) for p, m, q in found if p)
 
-    def buy(agent: NodeId, *bought: TimeEdge) -> None:
-        strategies[agent] = frozenset(bought)
-
-    def edge(a: NodeId, b: NodeId) -> TimeEdge:
-        return TimeEdge(a, b, host.min_label(a, b))
-
-    if m_side and n_side:
-        ms = descending(t1, m_side)
-        ns = descending(t2, n_side)
-        buy(t1, edge(t1, ms[0]))
-        buy(ms[0], edge(ms[0], t2))
-        buy(t2, edge(t2, ns[0]))
-        buy(ns[0], edge(ns[0], t1))
-        for v in ms[1:]:
-            buy(v, edge(v, t1))
-        for v in ns[1:]:
-            buy(v, edge(v, t2))
-    elif m_side or n_side:
-        near, far = (t1, t2) if m_side else (t2, t1)
-        mids = descending(near, m_side or n_side)
-        for v in mids:
-            buy(v, edge(v, near))
-        buy(far, edge(far, near))
-        gate = host.min_label(near, far)
-        if host.min_label(near, mids[0]) > gate:
-            buy(mids[0], edge(mids[0], near), edge(mids[0], far))
-            j = 0
-            while True:
-                bridge = mids[j]
-                repair = None
-                for w in sorted(host.nodes):
-                    if w == bridge:
-                        continue
-                    candidate = edge(bridge, w)
-                    trial = StrategyProfile(
-                        Setting.GLOBAL, {**strategies, bridge: {candidate}}
-                    )
-                    # Both of the host's terminals reached with the one edge.
-                    if agent_cost(bridge, trial, host).unreached_terminals == 0:
-                        repair = candidate
-                        break
-                if repair is None:
-                    break
-                buy(bridge, repair)
-                j += 1
-                if j >= len(mids):
-                    raise PreconditionFailed(
-                        "bridge repair ran past the last candidate node"
-                    )
-                nxt = mids[j]
-                if host.min_label(near, nxt) <= gate:
-                    break
-                buy(nxt, edge(nxt, near), edge(nxt, far))
-    else:
-        buy(t2, edge(t2, t1))
-
+    strategies = core((t2, t1, labels(t1, t2)[-1]))
+    left = _hang(host, strategies)
+    if left:
+        ties = sorted((-x, m) for m in inner for x in set(labels(t1, m)) & set(labels(m, t2)))
+        rings = [
+            core((t1, m, -p), (m, t2, q), (t2, n, -r), (n, t1, s))
+            for (p, m, q), (r, n, s) in itertools.product(halves(t1, t2), halves(t2, t1))
+            if m != n
+        ]
+        for candidate in [core((t1, m, -x), (m, t2, -x)) for x, m in ties[:1]] + rings[:1]:
+            if not _hang(host, candidate):
+                strategies, left = candidate, []
+                break
+    if left:
+        _, b, p, q = min((-min(p, q), b, p, q) for b in left for p in labels(b, t1)
+                         for q in labels(b, t2) if p != q)
+        strategies[b] = frozenset({TimeEdge(b, t1, p), TimeEdge(b, t2, q)})
+        if p > q:
+            strategies[t1] = strategies.pop(t2)
+        left = _hang(host, strategies)
     profile = StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)
-    for _ in range(host.node_count + 5):
-        report = is_nash_equilibrium(profile, host)
-        if report.verdict is Verdict.EQUILIBRIUM:
-            break
-        assert report.witness is not None
-        profile = profile.with_strategy(report.witness.agent, report.witness.strategy)
-    else:
-        raise PreconditionFailed("two-terminal profile failed to stabilize")
-    for agent, bought in profile.strategies.items():
-        for e in bought:
-            if not e.touches(agent):
-                raise PreconditionFailed(
-                    "stabilized profile bought a non-incident edge; "
-                    "cannot serve both settings"
-                )
+    if left or is_nash_equilibrium(profile, host).verdict is not Verdict.EQUILIBRIUM:
+        raise AssertionError("internal error: two-terminal profile is not an equilibrium")
     return profile.with_setting(setting)
 
 

@@ -180,7 +180,11 @@ def dumps_instance(instance: InstanceFile) -> str:
 
 
 def loads_instance(text: str) -> InstanceFile:
-    return instance_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:  # the decoder recurses once per open bracket
+        raise ValueError("instance JSON nests too deeply") from None
+    return instance_from_dict(data)
 
 
 def save_instance(instance: InstanceFile, path: str | Path) -> None:

@@ -23,6 +23,7 @@ host, and each owner is an end of its edge (local) or a host node (global).
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -133,7 +134,8 @@ def sweep_ownership(
     """Enumerate and exactly verify all ownerships of ``target``'s edges.
 
     Results are deterministic and canonical regardless of ``workers``; chunks
-    are merged in enumeration order.
+    are merged in enumeration order. At most one process per chunk and per
+    CPU is started, however large ``workers`` is.
 
     Raises:
         PreconditionFailed: the target's nodes are not the host's, as they
@@ -175,7 +177,9 @@ def sweep_ownership(
             for i in range(0, len(owner_tuples), chunk_size)
         ]
         found: list[StrategyProfile] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork-started pool starts every worker at once: cap them by the work.
+        processes = min(workers, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             for result in pool.map(
                 _verify_chunk,
                 itertools.repeat(host),

@@ -177,6 +177,15 @@ def test_verify_empty_profile_is_refuted(runner, tmp_path):
     assert json.loads(result.output)["verdict"] == "refuted"
 
 
+def test_verify_deeply_nested_file_is_a_usage_error(runner, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    result = invoke(runner, "verify", str(path))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: cannot load")
+    assert "nests too deeply" in result.stderr
+
+
 def test_verify_budget_can_be_inconclusive(runner, tmp_path):
     path = gen_file(runner, tmp_path, "left.json", "fig5-left")
     result = invoke(runner, "verify", str(path), "--budget", "1")

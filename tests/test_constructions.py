@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from tempo_ncg import (
     DenseCycleParams,
+    HostGraph,
+    IncompleteHost,
     InstanceFile,
     PreconditionFailed,
     ProductNodeId,
@@ -22,6 +24,7 @@ from tempo_ncg import (
     dumps_instance,
     extend_with_nonterminal,
     extend_with_terminal,
+    find_nash_by_search,
     graph_product,
     hypercube_equilibrium,
     is_nash_equilibrium,
@@ -227,9 +230,10 @@ def test_two_terminal_ring_case():
 
 
 def test_two_terminal_degenerate_pair():
+    # The pair core buys the latest label: 7, normalized to 2.
     host = complete_host({("t1", "t2"): (2, 7)}, ["t1", "t2"])
     s = two_terminal_ne(host)
-    assert s.bought_edges() == {edge("t1", "t2", 1)}
+    assert s.bought_edges() == {edge("t1", "t2", 2)}
 
 
 def test_two_terminal_random_hosts():
@@ -241,23 +245,136 @@ def test_two_terminal_random_hosts():
             assert is_nash_equilibrium(s.with_setting(setting), host).is_equilibrium
 
 
+def assert_two_terminal_ne(host, s):
+    """Incident purchases only, at most n edges, an NE in both settings."""
+    assert all(e.touches(agent) for agent, bought in s.strategies.items() for e in bought)
+    assert len(s.bought_edges()) <= host.node_count
+    for setting in Setting:
+        assert is_nash_equilibrium(s.with_setting(setting), host).is_equilibrium
+
+
 @pytest.mark.parametrize(
     "n, seed, extra_label_prob, setting",
     [
         (10, 10485, 0.0, Setting.LOCAL),
         (13, 430225714, 0.3, Setting.GLOBAL),
+        (6, 288, 0.3, Setting.LOCAL),
     ],
 )
-def test_two_terminal_refuses_rather_than_return_an_unverified_profile(
+def test_two_terminal_returns_a_verified_profile_on_the_pinned_hosts(
     n, seed, extra_label_prob, setting
 ):
-    # Hosts on which the construction cannot finish.
     host = random_host(n, 2, seed, extra_label_prob=extra_label_prob)
-    try:
-        s = two_terminal_ne(host, setting)
-    except PreconditionFailed:
-        return
-    assert is_nash_equilibrium(s, host).is_equilibrium
+    s = two_terminal_ne(host, setting)
+    assert s.setting is setting
+    assert_two_terminal_ne(host, s)
+
+
+@pytest.mark.parametrize(
+    "labels, strategies",
+    [
+        pytest.param({("n0", "n1"): 1}, {"n1": [("n0", "n1", 1)]}, id="pair"),
+        pytest.param(
+            {("n0", "n1"): 1, ("n0", "n2"): 2, ("n1", "n2"): 2},
+            {"n0": [("n0", "n2", 2)], "n2": [("n1", "n2", 2)]},
+            id="tie",
+        ),
+        pytest.param(
+            {("n0", "n1"): 1, ("n0", "n2"): 2, ("n1", "n2"): 3},
+            {"n1": [("n0", "n1", 1)], "n2": [("n0", "n2", 2), ("n1", "n2", 3)]},
+            id="bridge",
+        ),
+        pytest.param(
+            {
+                ("n0", "n1"): 1, ("n0", "n2"): 1, ("n0", "n3"): 3,
+                ("n1", "n2"): 2, ("n1", "n3"): 2, ("n2", "n3"): 2,
+            },
+            {
+                "n0": [("n0", "n2", 1)],
+                "n2": [("n1", "n2", 2)],
+                "n1": [("n1", "n3", 2)],
+                "n3": [("n0", "n3", 3)],
+            },
+            id="ring",
+        ),
+    ],
+)
+def test_two_terminal_core_on_its_smallest_host(labels, strategies):
+    host = complete_host(labels, ["n0", "n1"])
+    s = two_terminal_ne(host)
+    assert s.strategies == {
+        agent: frozenset(edge(*e) for e in bought) for agent, bought in strategies.items()
+    }
+    assert_two_terminal_ne(host, s)
+
+
+def test_two_terminal_every_three_node_host_with_label_sets_from_1_to_3():
+    nodes = ("n0", "n1", "n2")
+    pairs = list(itertools.combinations(nodes, 2))
+    label_sets = [
+        labels
+        for size in (1, 2, 3)
+        for labels in itertools.combinations((1, 2, 3), size)
+    ]
+    count = 0
+    for chosen in itertools.product(label_sets, repeat=len(pairs)):
+        edges = [edge(a, b, l) for (a, b), labels in zip(pairs, chosen) for l in labels]
+        for terminals in pairs:
+            host = validate_and_normalize_host(TemporalGraph(nodes, edges), terminals)
+            s = two_terminal_ne(host, Setting.LOCAL)
+            assert_two_terminal_ne(host, s)
+            assert oracle_is_ne(s, host)
+            count += 1
+    assert count == 1029
+
+
+def test_two_terminal_every_single_label_four_node_host_with_labels_1_to_3():
+    nodes = ("n0", "n1", "n2", "n3")
+    pairs = list(itertools.combinations(nodes, 2))
+    count = 0
+    for chosen in itertools.product((1, 2, 3), repeat=len(pairs)):
+        edges = [edge(a, b, l) for (a, b), l in zip(pairs, chosen)]
+        for terminals in pairs:
+            host = validate_and_normalize_host(TemporalGraph(nodes, edges), terminals)
+            assert_two_terminal_ne(host, two_terminal_ne(host))
+            count += 1
+    assert count == 4374
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([None, 2, 3]),
+    st.sampled_from([0.0, 0.3, 0.6]),
+)
+def test_two_terminal_property(n, seed, max_label, extra_label_prob):
+    host = random_host(n, 2, seed, max_label=max_label, extra_label_prob=extra_label_prob)
+    assert_two_terminal_ne(host, two_terminal_ne(host))
+    if n <= 5:
+        for setting in Setting:
+            assert find_nash_by_search(host, setting) is not None
+
+
+@pytest.mark.slow
+def test_two_terminal_never_refuses_on_24000_random_hosts():
+    # 24,000 seeds, n = 3..13, with and without extra labels, both settings.
+    for seed in range(24_000):
+        n = 3 + seed % 11
+        for extra_label_prob in (0.0, 0.3):
+            host = random_host(n, 2, seed, extra_label_prob=extra_label_prob)
+            for setting in Setting:
+                s = two_terminal_ne(host, setting)
+                assert s.setting is setting
+                assert all(e.touches(a) for a, bought in s.strategies.items() for e in bought)
+                assert len(s.bought_edges()) <= n
+                assert is_nash_equilibrium(s, host).is_equilibrium
+
+
+def test_two_terminal_requires_a_complete_host():
+    graph = TemporalGraph(["a", "b", "c"], [edge("a", "b", 1), edge("a", "c", 2)])
+    with pytest.raises(IncompleteHost):
+        two_terminal_ne(HostGraph(graph=graph, terminals=("a", "b")))
 
 
 def test_two_terminal_requires_two_terminals():

@@ -200,6 +200,12 @@ def test_rejects_empty_name_and_label_lists():
         instance_from_dict(data)
 
 
+def test_rejects_json_nested_too_deeply():
+    # The decoder recurses per bracket; its RecursionError is an input error.
+    with pytest.raises(ValueError, match="nests too deeply"):
+        loads_instance("[" * 200_000 + "]" * 200_000)
+
+
 def test_save_and_load_files(tmp_path):
     inst = get_fixture("fig4")
     path = tmp_path / "inst.json"

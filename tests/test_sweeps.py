@@ -1,6 +1,7 @@
 """Ownership sweeps over fixed realized graphs."""
 
 import itertools
+import os
 
 import pytest
 
@@ -231,6 +232,35 @@ def test_sweep_workers_merge_deterministically():
     serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
     parallel = sweep_ownership(host, target, Setting.LOCAL, workers=2)
     assert serial == parallel
+
+
+def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", SerialPool)
+    host = all_ones_host(["a", "b", "c", "d", "v"])
+    target = star_target(host, "v")
+    serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
+    assert started == []
+    assert serial.survivors >= 4
+    # One chunk per surviving assignment at this worker count.
+    assert sweep_ownership(host, target, Setting.LOCAL, workers=10_000) == serial
+    assert started == [min(serial.survivors, os.cpu_count() or 1)]
 
 
 # -- whole-space search ------------------------------------------------------
