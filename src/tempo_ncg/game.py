@@ -50,7 +50,21 @@ there only positions that became earlier can lead anywhere new, and only
 over edges of O: a chosen edge, this one included, has both ends reached by
 its label, and arrivals only fall. So a walk in label order from ``b``,
 relaxing the O-edges of each improved node (a small heap of (time, node)),
-yields exactly the map of G' + (a, b, L).
+yields exactly the map of G' + (a, b, L) and settles each improved node once.
+
+Each state also carries the candidates that improve its map A, as a bitmask
+over candidate indices. A candidate (a, b, L) improves A exactly when one,
+and only one, of its ends has A <= L. Let ``since[x][t]`` be the bits of the
+candidates at ``x`` labelled t or later; the improving set is then the XOR,
+over the reached nodes x, of ``since[x][A[x]]``, since a candidate's bit
+survives exactly when one of its ends contributes it. The root's set comes
+from one scan of the candidates; the walk above updates a parent's set by
+swapping each settled node's old entry for its new one. Every arrival is 0
+or a label of O or of a candidate, so one table per search serves every
+state. The search pops the lowest set bit, which keeps the canonical
+candidate order, and one lookup orients the popped edge: exactly one end is
+reached by L, so ``b`` is the far end when ``a`` is reached by L, and ``a``
+otherwise.
 
 The greedy check tests a single add with the same lookup (O is then the
 whole realized graph G and C is empty) and a single remove by repairing a
@@ -392,13 +406,18 @@ def _realized_index(s: StrategyProfile, host: HostGraph) -> _RealizedIndex:
 
 def _others_groups(index: _RealizedIndex, own: frozenset[TimeEdge]) -> LabelGroups:
     """The realized groups without the edges that only ``own``'s agent buys,
-    which are the other agents' groups; an emptied group is dropped."""
+    which are the other agents' groups; a group holding none of them is
+    passed through as it is, and an emptied group is dropped."""
     mine = own - index.shared
-    return tuple(
-        (label, kept)
-        for label, edges in index.groups
-        if (kept := tuple(edge for edge in edges if edge not in mine))
-    )
+    labels = {edge.label for edge in mine}
+    groups = []
+    for label, edges in index.groups:
+        if label in labels:
+            edges = tuple(edge for edge in edges if edge not in mine)
+            if not edges:
+                continue
+        groups.append((label, edges))
+    return tuple(groups)
 
 
 def _reached_bits(arrival: Iterable[NodeId], bits: Mapping[NodeId, int]) -> int:
@@ -453,11 +472,43 @@ def _adjacency(groups: LabelGroups) -> dict[NodeId, list[tuple[int, NodeId]]]:
     return adjacency
 
 
-def _extend_arrivals(
-    arrival: dict[NodeId, int], adjacency: dict, far: NodeId, label: int
-) -> dict[NodeId, int]:
-    """``arrival`` once an improving edge newly reaches ``far`` at ``label``;
-    ``adjacency`` holds only the other agents' edges (module docstring)."""
+def _since_table(
+    nodes: Iterable[NodeId], candidates: list[TimeEdge], times: Iterable[int]
+) -> dict[NodeId, dict[int, int]]:
+    """``since[x][t]``: the bits of the candidates at ``x`` labelled ``t`` or
+    later, for every node ``x`` and every ``t`` in ``times``."""
+    at: dict[NodeId, list[tuple[int, int]]] = {}
+    for i, edge in enumerate(candidates):
+        for x in (edge.u, edge.v):
+            at.setdefault(x, []).append((edge.label, 1 << i))
+    times = sorted(times, reverse=True)
+    zero = dict.fromkeys(times, 0)
+    since = dict.fromkeys(nodes, zero)
+    for x, row in at.items():
+        row.sort(reverse=True)
+        since[x] = table = {}
+        mask = j = 0
+        for t in times:
+            while j < len(row) and row[j][0] >= t:
+                mask |= row[j][1]
+                j += 1
+            table[t] = mask
+    return since
+
+
+def _grow_frame(
+    arrival: dict[NodeId, int],
+    improving: int,
+    reached: int,
+    far: NodeId,
+    label: int,
+    adjacency: dict,
+    since: dict[NodeId, dict[int, int]],
+    bits: Mapping[NodeId, int],
+) -> tuple[dict[NodeId, int], int, int]:
+    """A frame's arrival map, improving set and reached terminals once an
+    improving edge newly reaches ``far`` at ``label``; ``adjacency`` holds
+    only the other agents' edges (module docstring)."""
     grown = dict(arrival)
     grown[far] = label
     heap = [(label, far)]
@@ -465,11 +516,19 @@ def _extend_arrivals(
         t, x = heappop(heap)
         if t > grown[x]:
             continue
+        # ``x`` settles here, once, at its new arrival ``t``.
+        row = since[x]
+        old = arrival.get(x)
+        if old is None:
+            reached |= bits[x]
+            improving ^= row[t]
+        else:
+            improving ^= row[old] ^ row[t]
         for lab, y in adjacency.get(x, ()):
             if lab >= t and grown.get(y, _INF) > lab:
                 grown[y] = lab
                 heappush(heap, (lab, y))
-    return grown
+    return grown, improving, reached
 
 
 def find_improving_response(
@@ -487,8 +546,9 @@ def find_improving_response(
     complete for inclusion-minimal witnesses). The returned response, if any,
     is the first witness of minimum size in canonical order. The depth-first
     walk keeps its own stack, so its depth does not depend on Python's
-    recursion limit, and the last edge of each candidate is tested by one
-    lookup in masks built once per search (module docstring).
+    recursion limit; each frame carries its improving extensions as a
+    bitmask, and the last edge of each candidate is tested by one lookup in
+    masks built once per search (module docstring).
 
     ``cap`` defaults to |S_v| - 1 when v already reaches every terminal (the
     exact threshold) and to the terminal count otherwise (direct edges always
@@ -516,7 +576,8 @@ def find_improving_response(
     others = _others_groups(index, own)
     bits = index.bits
     start_arrival, _ = propagate_arrivals(others, v)
-    if CostBreakdown(k - _reached_bits(start_arrival, bits).bit_count(), 0) < current:
+    start_reached = _reached_bits(start_arrival, bits)
+    if CostBreakdown(k - start_reached.bit_count(), 0) < current:
         return SearchOutcome(response=frozenset(), exact=True, states_examined=1)
     if r_max == 0:
         return SearchOutcome(
@@ -527,8 +588,18 @@ def find_improving_response(
         host, v, s.setting, index.bought - (own - index.shared)
     )
     masks = label_reach_masks(others, bits, {edge.label for edge in candidates})
-    # Over O only, and read only by inner states.
-    adjacency = _adjacency(others) if r_max >= 2 else {}
+    # The root's improving set: one end reached by the label, the other not.
+    start_improving = 0
+    for i, edge in enumerate(candidates):
+        label = edge.label
+        if (start_arrival.get(edge.u, _INF) <= label) != (
+            start_arrival.get(edge.v, _INF) <= label
+        ):
+            start_improving |= 1 << i
+    # Read only by inner states; the adjacency is over O only.
+    if r_max >= 2:
+        adjacency = _adjacency(others)
+        since = _since_table(host.nodes, candidates, (0, *masks))
     examined = 0
     for r in range(1, r_max + 1):
         # (unreached, r) < current exactly when at least ``need`` terminals
@@ -536,25 +607,17 @@ def find_improving_response(
         need = k - current_unreached + (r >= e0)
         # States are sets of candidate indices, keyed as bitmasks.
         visited: set[int] = set()
-        # Frames: (chosen edges, their key, their arrival map, next index).
-        stack = [((), 0, start_arrival, 0)]
+        # Frames: (chosen edges, their key, their arrival map, its improving
+        # candidates, those not yet tried, its reached terminals).
+        stack = [((), 0, start_arrival, start_improving, start_improving, start_reached)]
         while stack:
-            chosen, key, arrival, start = stack.pop()
+            chosen, key, arrival, improving, rest, reached = stack.pop()
             last = len(chosen) == r - 1
-            if last:
-                reached = _reached_bits(arrival, bits)
-            for i in range(start, len(candidates)):
-                edge = candidates[i]
-                # An edge already chosen never improves the map it is part of.
-                au = arrival.get(edge.u, _INF)
-                av = arrival.get(edge.v, _INF)
-                if au <= edge.label < av:
-                    far = edge.v
-                elif av <= edge.label < au:
-                    far = edge.u
-                else:
-                    continue
-                state = key | 1 << i
+            while rest:
+                # Lowest index first: the canonical candidate order.
+                bit = rest & -rest
+                rest ^= bit
+                state = key | bit
                 if state in visited:
                     continue
                 visited.add(state)
@@ -563,17 +626,25 @@ def find_improving_response(
                     return SearchOutcome(
                         response=None, exact=False, states_examined=examined
                     )
+                edge = candidates[bit.bit_length() - 1]
+                label = edge.label
+                # Exactly one end is reached by ``label``; the other is far.
+                far = edge.v if arrival.get(edge.u, _INF) <= label else edge.u
                 if last:
-                    if (reached | masks[edge.label][far]).bit_count() >= need:
+                    if (reached | masks[label][far]).bit_count() >= need:
                         return SearchOutcome(
                             response=frozenset((*chosen, edge)),
                             exact=True,
                             states_examined=examined,
                         )
                 else:
-                    child = _extend_arrivals(arrival, adjacency, far, edge.label)
-                    stack.append((chosen, key, arrival, i + 1))
-                    stack.append(((*chosen, edge), state, child, 0))
+                    stack.append((chosen, key, arrival, improving, rest, reached))
+                    arrival, improving, reached = _grow_frame(
+                        arrival, improving, reached, far, label, adjacency, since, bits
+                    )
+                    stack.append(
+                        ((*chosen, edge), state, arrival, improving, improving, reached)
+                    )
                     break
     return SearchOutcome(
         response=None,

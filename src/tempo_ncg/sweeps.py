@@ -135,7 +135,8 @@ def sweep_ownership(
 
     Results are deterministic and canonical regardless of ``workers``; chunks
     are merged in enumeration order. At most one process per chunk and per
-    CPU is started, however large ``workers`` is.
+    CPU is started, however large ``workers`` is, and the survivors are cut
+    into about four chunks per process started.
 
     Raises:
         PreconditionFailed: the target's nodes are not the host's, as they
@@ -171,15 +172,16 @@ def sweep_ownership(
     if workers <= 1 or len(owner_tuples) < 4:
         equilibria = tuple(_verify_chunk(host, mode, edges, owner_tuples))
     else:
-        chunk_size = max(1, len(owner_tuples) // (workers * 4))
+        # A fork-started pool starts every worker at once: cap them by the
+        # CPUs, then cut about four chunks per process and cap by the chunks.
+        processes = min(workers, os.cpu_count() or 1)
+        chunk_size = max(1, len(owner_tuples) // (processes * 4))
         chunks = [
             owner_tuples[i : i + chunk_size]
             for i in range(0, len(owner_tuples), chunk_size)
         ]
         found: list[StrategyProfile] = []
-        # A fork-started pool starts every worker at once: cap them by the work.
-        processes = min(workers, len(chunks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=min(processes, len(chunks))) as pool:
             for result in pool.map(
                 _verify_chunk,
                 itertools.repeat(host),

@@ -375,6 +375,24 @@ def test_deep_searches_match_the_recursive_oracle_on_the_4_cube(budget):
         )
 
 
+def test_nash_check_of_the_5_cube_visits_a_pinned_number_of_states():
+    # The search tries improving extensions in candidate order; a change of
+    # that order changes the count even where the verdict stays.
+    host, profile = hypercube_equilibrium(5)
+    report = is_nash_equilibrium(profile, host)
+    assert report.verdict is Verdict.EQUILIBRIUM
+    assert report.states_examined == 60_667
+
+
+def test_dense_cycle_searches_visit_pinned_numbers_of_states():
+    dense = dense_cycle_instance(4)
+    got = find_improving_response("w00.00", dense.profile, dense.host)
+    assert (got.response, got.exact, got.states_examined) == (None, True, 2_174)
+    # The unbudgeted search of v00.00 needs 723,542 states.
+    got = find_improving_response("v00.00", dense.profile, dense.host, budget=20_000)
+    assert (got.response, got.exact, got.states_examined) == (None, False, 20_001)
+
+
 def test_deviation_search_propagates_once(monkeypatch):
     host, profile = hypercube_equilibrium(4)
     v = max(profile.buyers, key=lambda b: len(profile.strategy(b)))

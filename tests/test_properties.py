@@ -65,8 +65,19 @@ from tempo_ncg import (
     two_terminal_ne,
     validate_and_normalize_host,
 )
-from tempo_ncg.core import group_by_label, label_reach_masks, propagate_arrivals
-from tempo_ncg.game import _extend_arrivals, _others_groups, _realized_index
+from tempo_ncg.core import (
+    group_by_label,
+    label_reach_masks,
+    propagate_arrivals,
+    terminal_bits,
+)
+from tempo_ncg.game import (
+    _grow_frame,
+    _others_groups,
+    _reached_bits,
+    _realized_index,
+    _since_table,
+)
 
 
 def _pairs(nodes):
@@ -135,8 +146,10 @@ def test_backward_reach_masks_match_brute_force(graph, data):
 
 @given(temporal_graphs(max_n=6), st.data())
 def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
-    """Growing the map edge by edge, as the deviation search does, equals a
-    full propagation over the graph plus the chosen prefix at every step."""
+    """Growing a frame edge by edge, as the deviation search does, gives at
+    every step the arrival map of a full propagation over the graph plus the
+    chosen prefix, the pool edges that improve that map and the terminals it
+    reaches."""
     groups = graph.label_groups()
     adjacency = {}
     for label, edges in groups:
@@ -144,25 +157,45 @@ def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
             adjacency.setdefault(e.u, []).append((label, e.v))
             adjacency.setdefault(e.v, []).append((label, e.u))
     source = data.draw(st.sampled_from(graph.nodes), label="source")
+    terminals = data.draw(st.sets(st.sampled_from(graph.nodes)), label="terminals")
+    bits = terminal_bits(graph.nodes, sorted(terminals))
     pool = [TimeEdge(u, v, lab) for u, v in _pairs(graph.nodes) for lab in range(1, 7)]
-    arrival, _ = propagate_arrivals(groups, source)
-    prefix = []
-    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="steps")):
-        improving = []
-        for e in pool:
+    since = _since_table(graph.nodes, pool, {0, *range(1, 7), *dict(groups)})
+
+    def improving_in_pool(arrival):
+        # Brute force: the edges with one end reached by their label, the
+        # other end not.
+        found = []
+        for i, e in enumerate(pool):
             au = arrival.get(e.u, float("inf"))
             av = arrival.get(e.v, float("inf"))
             if au <= e.label < av:
-                improving.append((e, e.v))
+                found.append((i, e, e.v))
             elif av <= e.label < au:
-                improving.append((e, e.u))
-        if not improving:
+                found.append((i, e, e.u))
+        return found
+
+    arrival, _ = propagate_arrivals(groups, source)
+    improving = 0
+    for x, t in arrival.items():
+        improving ^= since[x][t]
+    reached = _reached_bits(arrival, bits)
+    prefix = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="steps")):
+        candidates = improving_in_pool(arrival)
+        assert improving == sum(1 << i for i, _, _ in candidates)
+        assert reached == _reached_bits(arrival, bits)
+        if not candidates:
             break
-        e, far = data.draw(st.sampled_from(improving), label="edge")
+        _, e, far = data.draw(st.sampled_from(candidates), label="edge")
         prefix.append(e)
-        arrival = _extend_arrivals(arrival, adjacency, far, e.label)
+        arrival, improving, reached = _grow_frame(
+            arrival, improving, reached, far, e.label, adjacency, since, bits
+        )
         merged = group_by_label([*graph.time_edges(), *prefix])
         assert arrival == propagate_arrivals(merged, source)[0]
+    assert improving == sum(1 << i for i, _, _ in improving_in_pool(arrival))
+    assert reached == _reached_bits(arrival, bits)
 
 
 @given(temporal_graphs(max_n=4), st.data())

@@ -236,9 +236,10 @@ def test_sweep_workers_merge_deterministically():
 
 def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
     started = []
+    received = []
 
     class SerialPool:
-        """Records the pool size and maps in this process."""
+        """Records the pool size and the chunk sizes and maps in this process."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -250,17 +251,22 @@ def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            *fixed, chunks = iterables
+            chunks = list(chunks)
+            received.append([len(chunk) for chunk in chunks])
+            return map(fn, *fixed, chunks)
 
     monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 2)
     host = all_ones_host(["a", "b", "c", "d", "v"])
     target = star_target(host, "v")
     serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
     assert started == []
-    assert serial.survivors >= 4
-    # One chunk per surviving assignment at this worker count.
+    assert serial.survivors == 16
+    # Two processes, so about four chunks each, not one per survivor.
     assert sweep_ownership(host, target, Setting.LOCAL, workers=10_000) == serial
-    assert started == [min(serial.survivors, os.cpu_count() or 1)]
+    assert started == [2]
+    assert received == [[2] * 8]
 
 
 # -- whole-space search ------------------------------------------------------
