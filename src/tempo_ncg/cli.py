@@ -9,6 +9,7 @@ stdout), 2 inconclusive or usage error.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -210,12 +211,10 @@ def verify(instance, kind, budget, fmt) -> None:
         click.echo(json.dumps(data, indent=2))
     else:
         witness = data.get("witness", {})
-        click.echo("verdict,witness_agent,witness_strategy,states_examined")
-        click.echo(
-            f"{data['verdict']},{witness.get('agent', '')},"
-            f"\"{json.dumps(witness.get('strategy', []))}\","
-            f"{data['states_examined']}"
-        )
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("verdict", "witness_agent", "witness_strategy", "states_examined"))
+        writer.writerow((data["verdict"], witness.get("agent", ""),
+                         json.dumps(witness.get("strategy", [])), data["states_examined"]))
     sys.exit(_EXIT_BY_VERDICT[report.verdict])
 
 

@@ -302,7 +302,7 @@ class HostGraph:
         # Pickle the fields only, never the cached properties.
         return {"graph": self.graph, "terminals": self.terminals}
 
-    @property
+    @functools.cached_property
     def lifetime(self) -> int:
         return self.graph.lifetime
 
@@ -398,24 +398,20 @@ class ArrivalMap:
 
 
 def propagate_arrivals(
-    groups: Iterable[tuple[int, tuple[TimeEdge, ...]]],
-    source: NodeId,
-    targets: frozenset[NodeId] | None = None,
-    track_predecessors: bool = False,
+    groups: Iterable[tuple[int, tuple[TimeEdge, ...]]], source: NodeId
 ) -> tuple[dict[NodeId, int], dict[NodeId, TimeEdge]]:
-    """Earliest-arrival sweep over pre-grouped time edges.
+    """Earliest-arrival sweep over pre-grouped time edges: the arrival map
+    and, for every reached node but ``source``, the edge that set its
+    arrival, once, so those edges form an earliest-arrival tree.
 
     ``groups`` must be sorted by ascending label (as from
     :meth:`TemporalGraph.label_groups` or :func:`group_by_label`); a caller
-    that adds edges to a base graph groups the union. When ``targets`` is
-    given the sweep stops as soon as all targets are reached. Within one
-    label the sweep iterates to a fixed point so equally labelled edges chain.
+    that adds edges to a base graph groups the union. Within one label the
+    sweep iterates to a fixed point so equally labelled edges chain.
     """
     arrival: dict[NodeId, int] = {source: 0}
     predecessor: dict[NodeId, TimeEdge] = {}
     for label, edges in groups:
-        if targets is not None and targets <= arrival.keys():
-            break
         changed = True
         while changed:
             changed = False
@@ -424,13 +420,11 @@ def propagate_arrivals(
                 av = arrival.get(edge.v, _INF)
                 if au <= label < av:
                     arrival[edge.v] = label
-                    if track_predecessors:
-                        predecessor[edge.v] = edge
+                    predecessor[edge.v] = edge
                     changed = True
                 elif av <= label < au:
                     arrival[edge.u] = label
-                    if track_predecessors:
-                        predecessor[edge.u] = edge
+                    predecessor[edge.u] = edge
                     changed = True
     return arrival, predecessor
 
@@ -511,9 +505,7 @@ def earliest_arrivals(graph: TemporalGraph, source: NodeId) -> ArrivalMap:
     """
     if source not in graph:
         raise UnknownNode(f"{source!r} is not a node of the graph")
-    arrival, predecessor = propagate_arrivals(
-        graph.label_groups(), source, track_predecessors=True
-    )
+    arrival, predecessor = propagate_arrivals(graph.label_groups(), source)
     return ArrivalMap(source=source, arrival=arrival, predecessor=predecessor)
 
 

@@ -66,6 +66,12 @@ candidate order, and one lookup orients the popped edge: exactly one end is
 reached by L, so ``b`` is the far end when ``a`` is reached by L, and ``a``
 otherwise.
 
+The candidates are every host edge the setting lets ``v`` buy, O's own
+edges included, since those never improve a state's map. The map is closed
+under O: the start map is a fixed point over O, and the walk above relaxes
+O from every node it improves. So an edge of O has both ends or neither end
+reached by its label, and the XOR cancels its bit.
+
 The greedy check tests a single add with the same lookup (O is then the
 whole realized graph G and C is empty) and a single remove by repairing a
 subtree. The predecessors of one propagation over G form an earliest-arrival
@@ -90,7 +96,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -428,11 +434,10 @@ def _reached_bits(arrival: Iterable[NodeId], bits: Mapping[NodeId, int]) -> int:
 
 
 def agent_cost(v: NodeId, s: StrategyProfile, host: HostGraph) -> CostBreakdown:
-    """Cost of agent ``v`` under profile ``s`` (its own reachability counts)."""
+    """Cost of agent ``v`` under profile ``s``, priced by the reach masks of
+    the profile's index (its own reachability counts)."""
     _require_node(host, v)
-    index = _realized_index(s, host)
-    arrival, _ = propagate_arrivals(index.groups, v, targets=host.terminal_set)
-    unreached = host.terminal_count - _reached_bits(arrival, index.bits).bit_count()
+    unreached = host.terminal_count - _realized_index(s, host).masks[v].bit_count()
     return CostBreakdown(unreached_terminals=unreached, edges_bought=len(s.strategy(v)))
 
 
@@ -450,16 +455,11 @@ def social_cost(s: StrategyProfile, host: HostGraph) -> CostBreakdown:
     )
 
 
-def _setting_candidates(
-    host: HostGraph, v: NodeId, setting: Setting, exclude: Collection[TimeEdge]
-) -> list[TimeEdge]:
-    """Host time edges the agent may buy, minus ``exclude``, canonical order."""
-    local = setting is Setting.LOCAL
-    return [
-        edge
-        for edge in host.sorted_time_edges
-        if edge not in exclude and (not local or edge.touches(v))
-    ]
+def _setting_candidates(host: HostGraph, v: NodeId, setting: Setting) -> Sequence[TimeEdge]:
+    """Host time edges the agent may buy, canonical order."""
+    if setting is Setting.GLOBAL:
+        return host.sorted_time_edges
+    return [edge for edge in host.sorted_time_edges if edge.touches(v)]
 
 
 def _adjacency(groups: LabelGroups) -> dict[NodeId, list[tuple[int, NodeId]]]:
@@ -535,31 +535,26 @@ def find_improving_response(
     v: NodeId,
     s: StrategyProfile,
     host: HostGraph,
-    cap: int | None = None,
     budget: int | None = None,
 ) -> SearchOutcome:
     """Search for a strategy that strictly lowers ``v``'s cost.
 
-    The search runs iterative deepening over response size r = 0..cap and at
-    each size explores only extension edges that strictly improve the current
-    earliest-arrival map from ``v`` (see module docstring for why this is
-    complete for inclusion-minimal witnesses). The returned response, if any,
-    is the first witness of minimum size in canonical order. The depth-first
-    walk keeps its own stack, so its depth does not depend on Python's
-    recursion limit; each frame carries its improving extensions as a
-    bitmask, and the last edge of each candidate is tested by one lookup in
-    masks built once per search (module docstring).
+    The search runs iterative deepening over response size r = 0..r_max and
+    at each size explores only extension edges that strictly improve the
+    current earliest-arrival map from ``v`` (see module docstring for why
+    this is complete for inclusion-minimal witnesses). The returned
+    response, if any, is the first witness of minimum size in canonical
+    order. The depth-first walk keeps its own stack, so its depth does not
+    depend on Python's recursion limit; each frame carries its improving
+    extensions as a bitmask, and the last edge of each candidate is tested
+    by one lookup in masks built once per search (module docstring).
 
-    ``cap`` defaults to |S_v| - 1 when v already reaches every terminal (the
-    exact threshold) and to the terminal count otherwise (direct edges always
-    fit in that budget). ``budget`` caps examined candidate sets; exhausting
-    it can only downgrade a none-result to inexact, never flip a verdict.
-
-    Raises:
-        ValueError: ``cap`` is negative.
+    ``r_max`` is |S_v| - 1 when v already reaches every terminal and the
+    terminal count otherwise (direct edges always fit in that size), so a
+    none-result is exact unless ``budget``, the cap on examined candidate
+    sets, ran out; exhausting it can only downgrade a none-result to inexact,
+    never flip a verdict.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
     _require_node(host, v)
     index = _realized_index(s, host)
     own = s.strategy(v)
@@ -567,10 +562,7 @@ def find_improving_response(
     k = host.terminal_count
     current = CostBreakdown(k - index.masks[v].bit_count(), e0)
     current_unreached = current.unreached_terminals
-    if cap is None:
-        cap = e0 - 1 if current_unreached == 0 else k
-    r_max = min(cap, e0 - 1) if current_unreached == 0 else cap
-    exact_threshold = (e0 - 1) if current_unreached == 0 else k
+    r_max = e0 - 1 if current_unreached == 0 else k
     if r_max < 0:
         return SearchOutcome(response=None, exact=True, states_examined=0)
     others = _others_groups(index, own)
@@ -580,13 +572,10 @@ def find_improving_response(
     if CostBreakdown(k - start_reached.bit_count(), 0) < current:
         return SearchOutcome(response=frozenset(), exact=True, states_examined=1)
     if r_max == 0:
-        return SearchOutcome(
-            response=None, exact=cap >= exact_threshold, states_examined=0
-        )
+        return SearchOutcome(response=None, exact=True, states_examined=0)
 
-    candidates = _setting_candidates(
-        host, v, s.setting, index.bought - (own - index.shared)
-    )
+    # The other agents' edges never improve a frame's map (module docstring).
+    candidates = _setting_candidates(host, v, s.setting)
     masks = label_reach_masks(others, bits, {edge.label for edge in candidates})
     # The root's improving set: one end reached by the label, the other not.
     start_improving = 0
@@ -646,11 +635,7 @@ def find_improving_response(
                         ((*chosen, edge), state, arrival, improving, improving, reached)
                     )
                     break
-    return SearchOutcome(
-        response=None,
-        exact=cap >= exact_threshold,
-        states_examined=examined,
-    )
+    return SearchOutcome(response=None, exact=True, states_examined=examined)
 
 
 def _assert_improving(
@@ -675,9 +660,10 @@ def is_nash_equilibrium(
 
     Agents missing a terminal are refuted immediately with a direct-edge add.
     Of the others, agents that buy nothing already pay the least cost (0, 0)
-    and are skipped; buyers run the exact improving-response search with
-    cap = |S_v| - 1. The verdict is inconclusive only if some agent's search
-    hit the budget and no other agent was refuted outright.
+    and are skipped; buyers run the exact improving-response search over
+    responses of at most |S_v| - 1 edges. The verdict is inconclusive only
+    if some agent's search hit the budget and no other agent was refuted
+    outright.
     """
     index = _realized_index(s, host)
     bits, full, masks = index.bits, index.full, index.masks
@@ -818,12 +804,10 @@ def greedy_improving_response(
     _require_node(host, v)
     index = _realized_index(s, host)
     own = s.strategy(v)
-    arrival, predecessor = propagate_arrivals(
-        index.groups, v, track_predecessors=True
-    )
+    arrival, predecessor = propagate_arrivals(index.groups, v)
     reached = _reached_bits(arrival, index.bits)
     if reached != index.full:
-        candidates = _setting_candidates(host, v, s.setting, ())
+        candidates = _setting_candidates(host, v, s.setting)
         masks = label_reach_masks(
             index.groups, index.bits, {edge.label for edge in candidates}
         )
@@ -925,9 +909,7 @@ def necessary_terminals(
     index = _realized_index(s, host)
     if e not in s.strategy(buyer):
         raise NotOwned(f"{e} is not bought by {buyer!r}")
-    arrival, predecessor = propagate_arrivals(
-        index.groups, buyer, track_predecessors=True
-    )
+    arrival, predecessor = propagate_arrivals(index.groups, buyer)
     lost = _lost_terminals(
         e, arrival, predecessor, _tree_children(predecessor), index
     )

@@ -213,7 +213,7 @@ def oracle_other_edges(s, v):
     return others
 
 
-def oracle_find_improving_response(v, s, host, cap=None, budget=None):
+def oracle_find_improving_response(v, s, host, budget=None):
     """The deviation search as first written: recursive, one full propagation
     per examined state, states keyed by frozensets of time edges.
 
@@ -239,10 +239,7 @@ def oracle_find_improving_response(v, s, host, cap=None, budget=None):
 
     current_unreached = unreached_with(own)
     current = CostBreakdown(current_unreached, e0)
-    if cap is None:
-        cap = e0 - 1 if current_unreached == 0 else k
-    r_max = min(cap, e0 - 1) if current_unreached == 0 else cap
-    exact_threshold = (e0 - 1) if current_unreached == 0 else k
+    r_max = e0 - 1 if current_unreached == 0 else k
     if r_max < 0:
         return SearchOutcome(response=None, exact=True, states_examined=0)
 
@@ -294,9 +291,7 @@ def oracle_find_improving_response(v, s, host, cap=None, budget=None):
             return SearchOutcome(response=found, exact=True, states_examined=examined)
         if exhausted:
             return SearchOutcome(response=None, exact=False, states_examined=examined)
-    return SearchOutcome(
-        response=None, exact=cap >= exact_threshold, states_examined=examined
-    )
+    return SearchOutcome(response=None, exact=True, states_examined=examined)
 
 
 def oracle_sweep_ownership(host, target, mode, budget=None):

@@ -1,5 +1,7 @@
 """Command line behavior: families, verdict exit codes, tables."""
 
+import csv
+import io
 import json
 import shutil
 import subprocess
@@ -216,6 +218,17 @@ def test_verify_csv_format(runner, tmp_path):
     lines = result.output.splitlines()
     assert lines[0] == "verdict,witness_agent,witness_strategy,states_examined"
     assert lines[1].startswith("equilibrium,,")
+
+
+def test_verify_csv_quotes_a_refuting_witness(runner, tmp_path):
+    path = gen_file(runner, tmp_path, "fig4.json", "fig4")
+    result = invoke(runner, "verify", str(path), "--format", "csv")
+    assert result.exit_code == 1
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows[0] == ["verdict", "witness_agent", "witness_strategy", "states_examined"]
+    assert len(rows[1]) == 4
+    assert rows[1][:2] == ["refuted", "v3"]
+    assert json.loads(rows[1][2]) == [["v1", "v3", 1]]
 
 
 def test_verify_missing_file_exits_2(runner):

@@ -301,14 +301,14 @@ def test_ge_synthesized_from_minimal_spanner_verifies():
 
 def test_forced_assignment_deviation_found():
     inst = fig4_instance()
-    outcome = find_improving_response("v3", inst.profile, inst.host, cap=2)
+    outcome = find_improving_response("v3", inst.profile, inst.host)
     assert outcome.response == {edge("v1", "v3", 1)}
     assert outcome.exact
 
 
 def test_right_fixture_v1_has_no_deviation():
     inst = fig5_right_instance()
-    outcome = find_improving_response("v1", inst.profile, inst.host, cap=3)
+    outcome = find_improving_response("v1", inst.profile, inst.host)
     assert outcome.response is None
     assert outcome.exact
 
@@ -418,18 +418,15 @@ def test_nash_check_groups_the_realized_graph_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_negative_cap_is_rejected():
+def test_an_edge_bought_twice_leaves_an_exact_two_edge_response():
     # With 000's edge to 001 bought by both, 000 has a 2-edge improving
-    # response; a negative cap used to report "none, exact" for it.
+    # response.
     host, profile = hypercube_equilibrium(3)
     doubled = profile.with_strategy(
         "001", profile.strategy("001") | {edge("000", "001", 4)}
     )
     found = find_improving_response("000", doubled, host)
     assert found.exact and len(found.response) == 2
-    assert not find_improving_response("000", doubled, host, cap=0).exact
-    with pytest.raises(ValueError, match="cap must be nonnegative"):
-        find_improving_response("000", doubled, host, cap=-1)
 
 
 def test_nash_check_searches_only_buyers(monkeypatch):
@@ -465,7 +462,7 @@ def test_witness_self_check_rejects_a_bad_witness(monkeypatch):
 
 def test_budget_never_flips_a_verdict():
     inst = fig4_instance()
-    starved = find_improving_response("v3", inst.profile, inst.host, cap=2, budget=1)
+    starved = find_improving_response("v3", inst.profile, inst.host, budget=1)
     # Either the witness is found within budget or the outcome admits inexactness.
     if starved.response is None:
         assert not starved.exact

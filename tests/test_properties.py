@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     brute_force_arrivals,
     naive_min_spanner,
+    oracle_cost,
     oracle_edge_needers,
     oracle_find_forbidden_structure,
     oracle_find_improving_response,
@@ -36,6 +37,7 @@ from tempo_ncg import (
     TemporalGraph,
     TimeEdge,
     Verdict,
+    agent_cost,
     connected_components,
     direct_terminal_profile,
     dumps_instance,
@@ -149,7 +151,8 @@ def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
     """Growing a frame edge by edge, as the deviation search does, gives at
     every step the arrival map of a full propagation over the graph plus the
     chosen prefix, the pool edges that improve that map and the terminals it
-    reaches."""
+    reaches. The pool holds the graph's own edges, whose bits never enter the
+    improving set: the map stays closed under the graph."""
     groups = graph.label_groups()
     adjacency = {}
     for label, edges in groups:
@@ -180,10 +183,12 @@ def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
     for x, t in arrival.items():
         improving ^= since[x][t]
     reached = _reached_bits(arrival, bits)
+    own = sum(1 << i for i, e in enumerate(pool) if graph.has_time_edge(e))
     prefix = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="steps")):
         candidates = improving_in_pool(arrival)
         assert improving == sum(1 << i for i, _, _ in candidates)
+        assert not improving & own
         assert reached == _reached_bits(arrival, bits)
         if not candidates:
             break
@@ -195,6 +200,7 @@ def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
         merged = group_by_label([*graph.time_edges(), *prefix])
         assert arrival == propagate_arrivals(merged, source)[0]
     assert improving == sum(1 << i for i, _, _ in improving_in_pool(arrival))
+    assert not improving & own
     assert reached == _reached_bits(arrival, bits)
 
 
@@ -399,20 +405,26 @@ def search_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(search_cases(), st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
-def test_deviation_search_matches_the_recursive_oracle(case, cap):
+@given(search_cases())
+def test_deviation_search_matches_the_recursive_oracle(case):
     host, profile = case
     for agent in host.nodes:
         for budget in (None, 1, 3, 17):
-            got = find_improving_response(agent, profile, host, cap=cap, budget=budget)
-            want = oracle_find_improving_response(
-                agent, profile, host, cap=cap, budget=budget
-            )
+            got = find_improving_response(agent, profile, host, budget=budget)
+            want = oracle_find_improving_response(agent, profile, host, budget=budget)
             assert (got.response, got.exact, got.states_examined) == (
                 want.response,
                 want.exact,
                 want.states_examined,
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+def test_agent_cost_matches_the_brute_force_oracle(case):
+    host, profile = case
+    for agent in host.nodes:
+        assert agent_cost(agent, profile, host).total == oracle_cost(agent, profile, host)
 
 
 @st.composite
