@@ -9,6 +9,8 @@ and an experiment harness (instance files, ownership sweeps, price-of-anarchy
 tables) behind the ``tempo-ncg`` CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ArrivalMap,
     HostGraph,
@@ -115,95 +117,9 @@ from .poa import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrivalMap",
-    "CSV_COLUMNS",
-    "Certificate",
-    "CostBreakdown",
-    "DenseCycleChecks",
-    "DenseCycleInstance",
-    "DenseCycleParams",
-    "DeviationWitness",
-    "DynamicsResult",
-    "EquilibriumKind",
-    "FIXTURE_BUILDERS",
-    "ForbiddenStructure",
-    "GreedyMove",
-    "HostGraph",
-    "IncompleteHost",
-    "InstanceFile",
-    "InvalidPurchase",
-    "NoTerminals",
-    "NodeId",
-    "NotASpanner",
-    "NotMinimal",
-    "NotOwned",
-    "NotSimple",
-    "PoARecord",
-    "PreconditionFailed",
-    "ProductNodeId",
-    "SearchOutcome",
-    "SearchTooLarge",
-    "Setting",
-    "SettingMismatch",
-    "SpannerSearchConfig",
-    "StrategyProfile",
-    "SweepResult",
-    "TemporalGameError",
-    "TemporalGraph",
-    "TimeEdge",
-    "UnknownNode",
-    "VerificationReport",
-    "Verdict",
-    "agent_cost",
-    "build_poa_record",
-    "compute_optimum",
-    "connected_components",
-    "dense_cycle_instance",
-    "dense_cycle_lemma_checks",
-    "direct_terminal_profile",
-    "dumps_instance",
-    "earliest_arrivals",
-    "edge_needers",
-    "equilibrium_certificates",
-    "extend_with_nonterminal",
-    "extend_with_terminal",
-    "fig4_instance",
-    "fig5_left_instance",
-    "fig5_right_instance",
-    "find_forbidden_structure",
-    "find_improving_response",
-    "find_nash_by_search",
-    "ge_from_minimal_spanner",
-    "get_fixture",
-    "graph_product",
-    "greedy_dynamics",
-    "greedy_improving_response",
-    "hypercube_equilibrium",
-    "instance_from_dict",
-    "instance_to_dict",
-    "is_greedy_equilibrium",
-    "is_minimal_terminal_spanner",
-    "is_nash_equilibrium",
-    "is_terminal_spanner",
-    "lifetime2_tree_ne",
-    "load_instance",
-    "loads_instance",
-    "min_terminal_spanner",
-    "mono_label_spanning_tree",
-    "necessary_terminals",
-    "propagate_arrivals",
-    "prune_to_minimal",
-    "random_host",
-    "reach_set",
-    "realized_graph",
-    "records_to_csv",
-    "records_to_json",
-    "relabel_instance",
-    "save_instance",
-    "scale_with_nonterminals",
-    "social_cost",
-    "sweep_ownership",
-    "two_terminal_ne",
-    "validate_and_normalize_host",
-]
+# The imports above also bind each submodule here; those are not exported.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -272,10 +272,8 @@ def extend_with_terminal(
             "input is not an equilibrium"
         )
     terminal_set = host.terminal_set
-    f_is_tree = len(components) == 1
-    f_has_all_terminals = f_is_tree and terminal_set <= components[0]
 
-    if f_is_tree and f_has_all_terminals:
+    if len(components) == 1 and terminal_set <= components[0]:
         n = host.node_count
         connected = len(connected_components(graph.nodes, list(graph.pairs()))) == 1
         if graph.time_edge_count != n - 1 or not connected:
@@ -289,13 +287,10 @@ def extend_with_terminal(
             nodes, (*host.terminals, x), min(nodes), s.setting
         )
     else:
-        chosen = None
-        for comp in components:
-            if not terminal_set <= comp:
-                chosen = comp
-                break
-        if chosen is None:
-            raise PreconditionFailed("no latest-label component misses a terminal")
+        # Some component misses a terminal: disjoint components cannot all
+        # hold the nonempty terminal set, and a lone one that holds it took
+        # the tree branch above.
+        chosen = next(comp for comp in components if not terminal_set <= comp)
         if not (terminal_set & chosen):
             raise PreconditionFailed(
                 "latest-label component without any terminal; "

@@ -340,12 +340,7 @@ def validate_and_normalize_host(
         UnknownNode: a terminal is not a node of ``raw``.
         IncompleteHost: some node pair carries no label.
     """
-    terminal_tuple = tuple(sorted(set(terminals)))
-    if not terminal_tuple:
-        raise NoTerminals("a host graph needs at least one terminal")
-    for t in terminal_tuple:
-        if t not in raw:
-            raise UnknownNode(f"terminal {t!r} is not a node of the graph")
+    terminal_tuple = HostGraph(graph=raw, terminals=tuple(terminals)).terminals
     nodes = raw.nodes
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
@@ -375,9 +370,6 @@ class ArrivalMap:
 
     def arrival_of(self, node: NodeId) -> int | None:
         return self.arrival.get(node)
-
-    def can_reach(self, node: NodeId) -> bool:
-        return node in self.arrival
 
     @property
     def reached(self) -> frozenset[NodeId]:
@@ -511,10 +503,7 @@ def earliest_arrivals(graph: TemporalGraph, source: NodeId) -> ArrivalMap:
 
 def reach_set(graph: TemporalGraph, source: NodeId) -> frozenset[NodeId]:
     """All nodes temporally reachable from ``source`` (always includes it)."""
-    if source not in graph:
-        raise UnknownNode(f"{source!r} is not a node of the graph")
-    arrival, _ = propagate_arrivals(graph.label_groups(), source)
-    return frozenset(arrival)
+    return earliest_arrivals(graph, source).reached
 
 
 def kruskal(

@@ -96,7 +96,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -938,16 +938,12 @@ class ForbiddenStructure:
 
 
 def find_forbidden_structure(
-    s: StrategyProfile,
-    host: HostGraph,
-    necessary_fn: Callable[[TimeEdge, NodeId], frozenset[NodeId]] | None = None,
+    s: StrategyProfile, host: HostGraph
 ) -> ForbiddenStructure | None:
     """Exhaustive scan for the forbidden local-equilibrium structure.
 
     Requires a local profile whose realized graph is simple. On correct
-    inputs this must return None; ``necessary_fn`` is injectable so tests can
-    demonstrate that a broken necessary-terminal computation breaks the
-    guarantee (negative control).
+    inputs this returns None.
 
     Raises:
         SettingMismatch: profile is not local.
@@ -961,9 +957,7 @@ def find_forbidden_structure(
 
     @functools.cache
     def necessary(edge: TimeEdge, buyer: NodeId) -> frozenset[NodeId]:
-        if necessary_fn is None:
-            return necessary_terminals(edge, buyer, s, host)
-        return frozenset(necessary_fn(edge, buyer))
+        return necessary_terminals(edge, buyer, s, host)
 
     def kept_edges(u: NodeId, z: NodeId, threshold: int) -> list[TimeEdge]:
         # Edges u buys, other than {z, u}, labelled no earlier than {z, u}.

@@ -87,8 +87,9 @@ def instance_from_dict(data: dict) -> InstanceFile:
         ValueError: unknown schema version, malformed keys or types, bad ids.
         IncompleteHost: a node pair has no labels and no default applies.
     """
-    # JSON true loads as a bool, which Python counts as the int 1.
-    if not isinstance(data, dict) or data.get("v") != SCHEMA_VERSION or data["v"] is True:
+    # JSON true and 1.0 both compare equal to the int 1, so the type is checked.
+    version = data.get("v") if isinstance(data, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"expected schema version {SCHEMA_VERSION}")
     name = data.get("name")
     if not isinstance(name, str) or not name:

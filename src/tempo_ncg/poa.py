@@ -26,7 +26,7 @@ from .game import (
     is_nash_equilibrium,
     realized_graph,
 )
-from .spanner_opt import SpannerSearchConfig, min_terminal_spanner, prune_to_minimal
+from .spanner_opt import min_terminal_spanner, prune_to_minimal
 
 PRUNE_EDGE_LIMIT = 300
 
@@ -78,13 +78,11 @@ class PoARecord:
         }
 
 
-def compute_optimum(
-    host: HostGraph, config: SpannerSearchConfig | None = None
-) -> tuple[int, bool, int]:
+def compute_optimum(host: HostGraph) -> tuple[int, bool, int]:
     """(optimum or best upper bound, exact flag, lower bound); the bounds
     come from :func:`optimum_bounds` when the exact search refuses."""
     try:
-        exact = min_terminal_spanner(host, config).time_edge_count
+        exact = min_terminal_spanner(host).time_edge_count
     except SearchTooLarge:
         upper, lower = optimum_bounds(host)
         return upper, False, lower
@@ -107,7 +105,6 @@ def build_poa_record(
     host: HostGraph,
     profile: StrategyProfile,
     kind: EquilibriumKind = EquilibriumKind.NASH,
-    config: SpannerSearchConfig | None = None,
 ) -> tuple[PoARecord | None, VerificationReport]:
     """Verify the profile, then measure it against the optimum.
 
@@ -121,7 +118,7 @@ def build_poa_record(
     if not report.is_equilibrium:
         return None, report
     equilibrium_edges = realized_graph(profile, host).time_edge_count
-    optimum, exact, lower = compute_optimum(host, config)
+    optimum, exact, lower = compute_optimum(host)
     record = PoARecord(
         name=name,
         nodes=host.node_count,

@@ -27,6 +27,7 @@ from tempo_ncg import (
     find_nash_by_search,
     graph_product,
     hypercube_equilibrium,
+    is_greedy_equilibrium,
     is_nash_equilibrium,
     is_terminal_spanner,
     lifetime2_tree_ne,
@@ -207,6 +208,75 @@ def test_extend_with_terminal_rejects_empty_profile():
     left = fig5_left_instance()
     with pytest.raises(PreconditionFailed):
         extend_with_terminal(left.host, StrategyProfile.empty(Setting.GLOBAL))
+
+
+def _local_profile(purchases):
+    """A local profile from ``{agent: [(u, v, label), ...]}``."""
+    return StrategyProfile(
+        Setting.LOCAL,
+        {agent: {edge(*e) for e in bought} for agent, bought in purchases.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "labels, terminals, purchases, reason",
+    [
+        pytest.param(
+            {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
+            ["a"],
+            {"a": [("a", "b", 1)], "b": [("b", "c", 1)], "c": [("a", "c", 1)]},
+            "contain a cycle",
+            id="latest-label-cycle",
+        ),
+        pytest.param(
+            {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 1},
+            ["a", "b"],
+            {"a": [("a", "b", 2), ("a", "c", 1)], "b": [("b", "c", 1)]},
+            "not a spanning tree",
+            id="terminal-tree-in-a-cyclic-graph",
+        ),
+        pytest.param(
+            {("a", "b"): 1, ("a", "c"): 1, ("a", "d"): 1,
+             ("b", "c"): 1, ("b", "d"): 1, ("c", "d"): 2},
+            ["a"],
+            {"a": [("a", "b", 1)], "b": [("b", "c", 1)], "c": [("c", "d", 2)]},
+            "without any terminal",
+            id="terminal-free-component",
+        ),
+        pytest.param(
+            {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 1},
+            ["a", "c"],
+            {"a": [("a", "b", 2)], "b": [("a", "b", 2)], "c": [("b", "c", 1)]},
+            "every node of the chosen component buys",
+            id="component-of-buyers",
+        ),
+    ],
+)
+def test_extend_with_terminal_rejects_non_equilibrium_inputs(
+    labels, terminals, purchases, reason
+):
+    host = complete_host(labels, terminals)
+    with pytest.raises(PreconditionFailed, match=reason):
+        extend_with_terminal(host, _local_profile(purchases))
+
+
+def test_repeated_extensions_suffix_fresh_node_names():
+    inst = fig5_left_instance()
+    host, profile = inst.host, inst.profile
+    steps = [
+        (extend_with_nonterminal, "x"),
+        (extend_with_nonterminal, "x2"),
+        (extend_with_terminal, "x3"),
+        (extend_with_terminal, "x4"),
+        (extend_with_nonterminal, "x5"),
+    ]
+    for extend, fresh in steps:
+        new_host, profile = extend(host, profile)
+        assert set(new_host.nodes) - set(host.nodes) == {fresh}
+        assert (fresh in new_host.terminals) == (extend is extend_with_terminal)
+        assert is_nash_equilibrium(profile, new_host).is_equilibrium
+        assert is_greedy_equilibrium(profile, new_host).is_equilibrium
+        host = new_host
 
 
 # --- two-terminal equilibria ------------------------------------------------------

@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+import tempo_ncg
 from tempo_ncg import (
     HostGraph,
     IncompleteHost,
@@ -25,6 +28,20 @@ from oracles import brute_force_arrivals
 
 def edge(u, v, label):
     return TimeEdge(u, v, label)
+
+
+# --- the export surface -----------------------------------------------------
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from tempo_ncg import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(tempo_ncg.__all__)
+    assert len(set(tempo_ncg.__all__)) == len(tempo_ncg.__all__) == 90
+    for name in tempo_ncg.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(tempo_ncg, name), types.ModuleType)
 
 
 # --- TimeEdge ---------------------------------------------------------------

@@ -614,13 +614,16 @@ def test_forbidden_structure_absent_on_honest_fan():
     assert find_forbidden_structure(profile, host) is None
 
 
-def test_forbidden_structure_negative_control():
+def test_forbidden_structure_negative_control(monkeypatch):
     # A broken necessity stub that blames every terminal on every edge must
     # trip the detector on the fan instance.
     host, profile = _two_fan_instance()
-    witness = find_forbidden_structure(
-        profile, host, necessary_fn=lambda e, buyer: frozenset({"x", "y"})
+    monkeypatch.setattr(
+        tempo_ncg.game,
+        "necessary_terminals",
+        lambda e, buyer, s, host: frozenset({"x", "y"}),
     )
+    witness = find_forbidden_structure(profile, host)
     assert witness is not None
     assert witness.z == "c"
     assert {witness.u1, witness.u2} == {"a", "b"}

@@ -225,9 +225,10 @@ def test_rejects_boolean_default_label():
         instance_from_dict(data)
 
 
-def test_rejects_boolean_schema_version():
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_rejects_boolean_schema_version(version):
     data = instance_to_dict(pair_instance())
-    data["v"] = True
+    data["v"] = version
     with pytest.raises(ValueError, match="schema version"):
         instance_from_dict(data)
 

@@ -8,7 +8,6 @@ from tempo_ncg import (
     EquilibriumKind,
     PoARecord,
     Setting,
-    SpannerSearchConfig,
     StrategyProfile,
     TemporalGraph,
     build_poa_record,
@@ -94,11 +93,12 @@ def test_compute_optimum_exact_path():
 
 
 def test_compute_optimum_falls_back_to_pruning():
-    host = fig4_instance().host
-    config = SpannerSearchConfig(max_candidate_edges=3)
-    optimum, exact, lower = compute_optimum(host, config)
-    assert not exact
-    assert lower == 3
+    # 21 single-label pairs: over the default pool of 20 edges, and no label
+    # class spans, so the exact search refuses and the host is pruned.
+    host = random_host(7, 2, 0)
+    assert host.time_edge_count == 21
+    optimum, exact, lower = compute_optimum(host)
+    assert (optimum, exact, lower) == (7, False, 6)
     # Pruning yields an inclusion-minimal spanner, an upper bound only.
     assert lower <= optimum <= host.time_edge_count
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -67,6 +68,7 @@ from tempo_ncg import (
     two_terminal_ne,
     validate_and_normalize_host,
 )
+import tempo_ncg.game
 from tempo_ncg.core import (
     group_by_label,
     label_reach_masks,
@@ -698,14 +700,19 @@ def test_forbidden_structure_scan_matches_the_nested_loop_oracle(case, salt):
     necessary-terminal sets and with a seeded hash standing in for them."""
     host, profile = case
 
-    def hashed(e, buyer):
+    def hashed(e, buyer, *_profile_and_host):
         return frozenset(
             t
             for t in host.terminals
             if zlib.crc32(f"{salt}|{e.u}|{e.v}|{e.label}|{buyer}|{t}".encode()) % 3
         )
 
-    for necessary_fn in (None, hashed):
+    assert find_forbidden_structure(profile, host) == oracle_find_forbidden_structure(
+        profile, host
+    )
+    # Hypothesis rejects function-scoped fixtures such as monkeypatch, so the
+    # hashed stand-in is patched in for the second scan by hand.
+    with mock.patch.object(tempo_ncg.game, "necessary_terminals", hashed):
         assert find_forbidden_structure(
-            profile, host, necessary_fn
-        ) == oracle_find_forbidden_structure(profile, host, necessary_fn)
+            profile, host
+        ) == oracle_find_forbidden_structure(profile, host, hashed)
