@@ -19,6 +19,7 @@ from .core import (
     TimeEdge,
     connected_components,
     earliest_arrivals,
+    edge_needers,
     is_minimal_terminal_spanner,
     is_terminal_spanner,
     propagate_arrivals,
@@ -105,7 +106,7 @@ from .fixtures import (
     fig5_right_instance,
     get_fixture,
 )
-from .sweeps import SweepResult, edge_needers, find_nash_by_search, sweep_ownership
+from .sweeps import SweepResult, find_nash_by_search, sweep_ownership
 from .poa import (
     CSV_COLUMNS,
     PoARecord,

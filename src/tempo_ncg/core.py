@@ -16,12 +16,11 @@ needer checks each cost one such sweep, not one forward propagation per
 node; :func:`label_reach_masks` keeps a snapshot per label for the
 deviation search (after Wu et al., VLDB 2014).
 
-The other modules share four primitives from here instead of their own
+The other modules share three primitives from here instead of their own
 copies: :func:`group_by_label` (label groups for every sweep),
 :func:`kruskal` (the one union-find, behind :func:`connected_components` and
-the one-label spanning tree), :func:`bounded_subsets` (budgeted subset
-enumeration) and :func:`iter_needers` (the nodes that lose a terminal without
-a given edge).
+the one-label spanning tree) and :func:`edge_needers` (for every edge, the
+nodes that lose a terminal without it).
 
 Input is checked once, at the public boundary. Checked data then takes the
 trusted ``TemporalGraph._from_labels`` and ``_trusted_edge``, which are exact
@@ -31,8 +30,7 @@ because pairs stay canonical and every label was checked on the way in.
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Iterable, Iterator, Mapping, Reversible, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Reversible
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -40,7 +38,6 @@ from .errors import (
     IncompleteHost,
     NoTerminals,
     NotASpanner,
-    SearchTooLarge,
     UnknownNode,
 )
 
@@ -269,13 +266,8 @@ class HostGraph:
     terminals: tuple[NodeId, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.terminals)))
-        if not ordered:
-            raise NoTerminals("a host graph needs at least one terminal")
-        for t in ordered:
-            if t not in self.graph:
-                raise UnknownNode(f"terminal {t!r} is not a node of the host")
-        object.__setattr__(self, "terminals", ordered)
+        terminal_set = _check_terminals(self.graph, self.terminals)
+        object.__setattr__(self, "terminals", tuple(sorted(terminal_set)))
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:
@@ -540,30 +532,14 @@ def connected_components(
     return kruskal(nodes, pairs)[1]
 
 
-def bounded_subsets(
-    pool: Sequence[TimeEdge], sizes: Iterable[int], budget: int
-) -> Iterator[tuple[TimeEdge, ...]]:
-    """Subsets of ``pool`` for each size in turn, in ``combinations`` order.
-
-    Raises:
-        SearchTooLarge: the consumer asks for more than ``budget`` subsets.
-    """
-    examined = 0
-    for size in sizes:
-        for combo in itertools.combinations(pool, size):
-            examined += 1
-            if examined > budget:
-                raise SearchTooLarge(f"subset enumeration exceeded {budget} sets")
-            yield combo
-
-
 def _check_terminals(graph: TemporalGraph, terminals: Iterable[NodeId]) -> frozenset[NodeId]:
+    """The terminals as a set, checked to be nonempty nodes of ``graph``."""
     terminal_set = frozenset(terminals)
     if not terminal_set:
-        raise NoTerminals("terminal set is empty")
-    for t in terminal_set:
-        if t not in graph:
-            raise UnknownNode(f"terminal {t!r} is not a node of the graph")
+        raise NoTerminals("the terminal set is empty")
+    unknown = [t for t in terminal_set if t not in graph]
+    if unknown:
+        raise UnknownNode(f"terminal {min(unknown)!r} is not a node of the graph")
     return terminal_set
 
 
@@ -573,28 +549,27 @@ def is_terminal_spanner(graph: TemporalGraph, terminals: Iterable[NodeId]) -> bo
     return spans_terminals(graph.label_groups(), bits)
 
 
-def iter_needers(
-    graph: TemporalGraph, edge: TimeEdge, terminals: frozenset[NodeId]
-) -> Iterator[NodeId]:
-    """Nodes of ``graph``, canonical order, that miss a terminal without ``edge``.
+def edge_needers(
+    graph: TemporalGraph, terminals: Iterable[NodeId]
+) -> dict[TimeEdge, tuple[NodeId, ...]]:
+    """For each time edge of ``graph``, canonical order, the nodes (canonical
+    order) that miss a terminal once that edge alone is gone.
 
-    No needer means the edge can be dropped from a spanner. The first
-    ``next`` runs one backward sweep over the graph's label groups with the
-    edge left out, whether the caller takes one needer or all of them.
-
-    Raises:
-        UnknownNode: ``edge`` is not in ``graph``.
+    An edge with no needer can be dropped from a spanner. Each edge costs one
+    backward sweep over the graph's label groups with the edge left out.
     """
-    if not graph.has_time_edge(edge):
-        raise UnknownNode(f"{edge} is not in the graph")
-    groups = [
-        (label, [e for e in edges if e != edge] if label == edge.label else edges)
-        for label, edges in graph.label_groups()
-    ]
-    bits = terminal_bits(graph.nodes, terminals)
-    masks = reach_masks(groups, bits)
+    bits = terminal_bits(graph.nodes, _check_terminals(graph, terminals))
     full = sum(bits.values())
-    yield from (node for node in graph.nodes if masks[node] != full)
+    groups = graph.label_groups()
+    needers = {}
+    for edge in graph.time_edges():
+        without = [
+            (label, [e for e in edges if e != edge] if label == edge.label else edges)
+            for label, edges in groups
+        ]
+        masks = reach_masks(without, bits)
+        needers[edge] = tuple(node for node in graph.nodes if masks[node] != full)
+    return needers
 
 
 def is_minimal_terminal_spanner(
@@ -608,10 +583,9 @@ def is_minimal_terminal_spanner(
     Raises:
         NotASpanner: ``graph`` is not a terminal spanner to begin with.
     """
-    terminal_set = _check_terminals(graph, terminals)
+    terminal_set = frozenset(terminals)
     if not is_terminal_spanner(graph, terminal_set):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
-    for edge in graph.time_edges():
-        if next(iter_needers(graph, edge, terminal_set), None) is None:
-            return False, edge
-    return True, None
+    needers = edge_needers(graph, terminal_set)
+    removable = next((edge for edge, who in needers.items() if not who), None)
+    return removable is None, removable

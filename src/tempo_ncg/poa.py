@@ -63,19 +63,12 @@ class PoARecord:
     ratio: float
 
     def as_row(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "n": self.nodes,
-            "k": self.terminals,
-            "lifetime": self.lifetime,
-            "kind": self.kind.value,
-            "setting": self.setting.value,
-            "equilibrium_edges": self.equilibrium_edges,
-            "optimum_edges": self.optimum_edges,
-            "optimum_exact": self.optimum_exact,
-            "optimum_lower_bound": self.optimum_lower_bound,
-            "ratio": self.ratio,
-        }
+        values = (
+            self.name, self.nodes, self.terminals, self.lifetime, self.kind.value,
+            self.setting.value, self.equilibrium_edges, self.optimum_edges,
+            self.optimum_exact, self.optimum_lower_bound, self.ratio,
+        )
+        return dict(zip(CSV_COLUMNS, values, strict=True))
 
 
 def compute_optimum(host: HostGraph) -> tuple[int, bool, int]:

@@ -6,14 +6,16 @@ Every terminal spanner needs at least n - 1 time edges, because each node
 must be statically connected to the terminals. A spanning tree on a single
 label matches that bound whenever one exists (inside one label group,
 arrivals chain transitively), which settles many instances without any
-enumeration; the rest run an exact cardinality-ascending subset search behind
-explicit budgets.
+enumeration; the rest take the first spanner from :func:`terminal_spanners`,
+the one budgeted subset enumeration (``sweeps.find_nash_by_search`` walks it
+too). An equilibrium built from a minimal spanner gives each edge to its
+first needer in ``core.edge_needers``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .core import (
@@ -21,10 +23,9 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
-    bounded_subsets,
+    edge_needers,
     group_by_label,
     is_terminal_spanner,
-    iter_needers,
     kruskal,
     spans_terminals,
     terminal_bits,
@@ -66,17 +67,35 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
     return None
 
 
+def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGraph]:
+    """Every terminal spanner among the host's time-edge subsets, by ascending
+    size from n - 1 and in ``combinations`` order within a size. Each subset
+    costs one backward sweep over its label groups.
+
+    Raises:
+        SearchTooLarge: the consumer asks for more than ``max_subsets`` tests.
+    """
+    pool = host.sorted_time_edges
+    bits = terminal_bits(host.nodes, host.terminals)
+    tested = 0
+    for size in range(host.node_count - 1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            tested += 1
+            if tested > max_subsets:
+                raise SearchTooLarge(f"subset enumeration exceeded {max_subsets} sets")
+            if spans_terminals(group_by_label(combo), bits):
+                yield TemporalGraph(host.nodes, combo)
+
+
 def min_terminal_spanner(
     host: HostGraph, config: SpannerSearchConfig | None = None
 ) -> TemporalGraph:
     """Exact minimum-cardinality terminal spanner of a host.
 
     Returns a one-label spanning tree directly when some label class connects
-    all nodes (n - 1 edges, provably optimal). Otherwise enumerates host
-    time-edge subsets by ascending cardinality starting at n - 1 and returns
-    the first terminal spanner found, which is the lexicographically least
-    optimum. Each subset is tested by one backward sweep over its label
-    groups, and only the winner becomes a graph.
+    all nodes (n - 1 edges, provably optimal). Otherwise returns the first
+    spanner of :func:`terminal_spanners`, which is the lexicographically
+    least optimum.
 
     Raises:
         SearchTooLarge: the host has more candidate edges or subsets than the
@@ -93,12 +112,10 @@ def min_terminal_spanner(
             f"{len(pool)} candidate edges exceed the budget of "
             f"{config.max_candidate_edges}"
         )
-    sizes = range(host.node_count - 1, len(pool) + 1)
-    bits = terminal_bits(host.nodes, host.terminals)
-    for combo in bounded_subsets(pool, sizes, config.max_subsets):
-        if spans_terminals(group_by_label(combo), bits):
-            return TemporalGraph(host.nodes, combo)
-    raise AssertionError("internal error: a complete host is its own spanner")
+    spanner = next(terminal_spanners(host, config.max_subsets), None)
+    if spanner is None:
+        raise AssertionError("internal error: a complete host is its own spanner")
+    return spanner
 
 
 def prune_to_minimal(
@@ -142,21 +159,21 @@ def ge_from_minimal_spanner(
     reaches every terminal.
 
     Raises:
-        NotASpanner: ``graph`` is not a terminal spanner of the host.
+        NotASpanner: ``graph``'s nodes are not the host's, or it does not span.
         NotMinimal: some edge has no needer, i.e. the spanner is not
             inclusion-minimal.
     """
-    terminal_set = host.terminal_set
-    if not is_terminal_spanner(graph, terminal_set):
+    if graph.nodes != host.nodes:
+        raise NotASpanner("the graph's nodes must be the host's nodes")
+    if not is_terminal_spanner(graph, host.terminals):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
     strategies: dict[NodeId, set[TimeEdge]] = {}
-    for edge in graph.time_edges():
-        needer = next(iter_needers(graph, edge, terminal_set), None)
-        if needer is None:
+    for edge, needers in edge_needers(graph, host.terminals).items():
+        if not needers:
             raise NotMinimal(
                 f"{edge} is removable, so the spanner is not inclusion-minimal"
             )
-        strategies.setdefault(needer, set()).add(edge)
+        strategies.setdefault(needers[0], set()).add(edge)
     profile = StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)
     profile.validate(host)
     return profile

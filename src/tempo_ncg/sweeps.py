@@ -32,12 +32,8 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
-    bounded_subsets,
-    group_by_label,
+    edge_needers,
     is_terminal_spanner,
-    iter_needers,
-    spans_terminals,
-    terminal_bits,
 )
 from .errors import InvalidPurchase, PreconditionFailed, SearchTooLarge
 from .game import (
@@ -49,6 +45,7 @@ from .game import (
     _remember,
     find_improving_response,
 )
+from .spanner_opt import terminal_spanners
 
 
 @dataclass(frozen=True)
@@ -67,19 +64,6 @@ class SweepResult:
     @property
     def equilibrium_count(self) -> int:
         return len(self.equilibria)
-
-
-def edge_needers(
-    target: TemporalGraph, host: HostGraph
-) -> dict[TimeEdge, tuple[NodeId, ...]]:
-    """For each target edge, the nodes that lose a terminal when it is gone.
-
-    ``target`` spans the host's nodes, as a realized graph does.
-    """
-    return {
-        edge: tuple(iter_needers(target, edge, host.terminal_set))
-        for edge in target.time_edges()
-    }
 
 
 def _profile_from_owners(
@@ -156,7 +140,7 @@ def sweep_ownership(
     if not is_terminal_spanner(target, host.terminals):
         # Some node misses a terminal whoever owns the edges; nothing survives.
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
-    needers = edge_needers(target, host)
+    needers = edge_needers(target, host.terminals)
     choices: list[tuple[NodeId, ...]] = []
     for edge in edges:
         allowed = edge.pair if mode is Setting.LOCAL else host.nodes
@@ -203,21 +187,16 @@ def find_nash_by_search(
 ) -> StrategyProfile | None:
     """First equilibrium found by exhausting realized graphs and ownerships.
 
-    Enumerates candidate realized edge sets by ascending size from n - 1,
-    keeps terminal spanners, and sweeps each one's ownerships. Intended for
-    small hosts (oracle duty, product-construction inputs); refuses larger
-    spaces.
+    Sweeps the ownerships of each spanner from
+    :func:`~tempo_ncg.spanner_opt.terminal_spanners` (ascending size from
+    n - 1). Intended for small hosts (oracle duty, product-construction
+    inputs); refuses larger spaces.
 
     Raises:
-        SearchTooLarge: the subset space exceeds ``max_subsets``.
+        SearchTooLarge: more than ``max_subsets`` subsets are tested.
     """
-    pool = host.sorted_time_edges
-    sizes = range(max(host.node_count - 1, 0), len(pool) + 1)
-    bits = terminal_bits(host.nodes, host.terminals)
-    for combo in bounded_subsets(pool, sizes, max_subsets):
-        if not spans_terminals(group_by_label(combo), bits):
-            continue
-        result = sweep_ownership(host, TemporalGraph(host.nodes, combo), setting)
+    for spanner in terminal_spanners(host, max_subsets):
+        result = sweep_ownership(host, spanner, setting)
         if result.equilibria:
             return result.equilibria[0]
     return None

@@ -302,7 +302,7 @@ def oracle_sweep_ownership(host, target, mode, budget=None):
     total = (2 if mode is Setting.LOCAL else host.node_count) ** len(edges)
     if not is_terminal_spanner(target, host.terminals):
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
-    needers = edge_needers(target, host)
+    needers = edge_needers(target, host.terminals)
     choices = [
         [v for v in (e.pair if mode is Setting.LOCAL else host.nodes) if v in needers[e]]
         for e in edges

@@ -14,13 +14,14 @@ from tempo_ncg import (
     connected_components,
     dense_cycle_instance,
     earliest_arrivals,
+    edge_needers,
     is_minimal_terminal_spanner,
     is_terminal_spanner,
+    prune_to_minimal,
     reach_set,
     realized_graph,
     validate_and_normalize_host,
 )
-from tempo_ncg.core import iter_needers
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 
 from oracles import brute_force_arrivals
@@ -306,11 +307,28 @@ def test_minimality_requires_spanner_input():
         is_minimal_terminal_spanner(g, ["a", "b"])
 
 
-def test_needers_of_an_absent_edge_is_an_unknown_node_error():
+def test_needers_map_every_edge_and_reject_an_unknown_terminal():
     g = TemporalGraph(["a", "b", "c"], [edge("a", "b", 1), edge("b", "c", 2)])
-    assert list(iter_needers(g, edge("a", "b", 1), frozenset("c"))) == ["a"]
+    assert edge_needers(g, ["c"]) == {
+        edge("a", "b", 1): ("a",),
+        edge("b", "c", 2): ("a", "b"),
+    }
     with pytest.raises(UnknownNode):
-        next(iter_needers(g, edge("a", "b", 2), frozenset("c")))
+        edge_needers(g, ["c", "d"])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [is_terminal_spanner, is_minimal_terminal_spanner, prune_to_minimal, edge_needers],
+)
+@pytest.mark.parametrize("extra", [(), (edge("v1", "v3", 1),)], ids=["blue", "fat"])
+def test_one_shot_terminals_give_the_list_answer(check, extra):
+    # A terminal iterator may be read only once, though some checks pass
+    # their terminals on to a second one.
+    inst = fig4_instance()
+    graph = realized_graph(inst.profile, inst.host).with_time_edges(extra)
+    terminals = list(inst.host.terminals)
+    assert check(graph, iter(terminals)) == check(graph, terminals)
 
 
 # --- static components ------------------------------------------------------

@@ -344,7 +344,7 @@ def test_edge_needers_match_the_brute_force_oracle(host, data):
     edges = sorted(host.time_edges())
     keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     target = TemporalGraph(host.nodes, [e for e, k in zip(edges, keep) if k])
-    assert edge_needers(target, host) == oracle_edge_needers(target, host)
+    assert edge_needers(target, host.terminals) == oracle_edge_needers(target, host)
 
 
 @given(hosts(max_n=5, max_label=2))

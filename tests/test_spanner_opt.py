@@ -6,10 +6,12 @@ from tempo_ncg import (
     NotASpanner,
     NotMinimal,
     SearchTooLarge,
+    Setting,
     SpannerSearchConfig,
     TemporalGraph,
     TimeEdge,
     dense_cycle_instance,
+    find_nash_by_search,
     ge_from_minimal_spanner,
     is_greedy_equilibrium,
     is_minimal_terminal_spanner,
@@ -20,6 +22,7 @@ from tempo_ncg import (
     random_host,
     realized_graph,
     social_cost,
+    sweep_ownership,
     validate_and_normalize_host,
 )
 from tempo_ncg.fixtures import fig4_instance
@@ -86,6 +89,42 @@ def test_optimum_refuses_oversized_searches():
         min_terminal_spanner(host, SpannerSearchConfig(max_candidate_edges=3))
     with pytest.raises(SearchTooLarge):
         min_terminal_spanner(host, SpannerSearchConfig(max_subsets=3))
+
+
+def subsets_tested_until(host, accept):
+    """How many subsets plain enumeration (ascending size from n - 1,
+    ``combinations`` order) tests up to the first spanner ``accept``s."""
+    pool = sorted(host.time_edges())
+    tested = 0
+    for size in range(host.node_count - 1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            tested += 1
+            graph = TemporalGraph(host.nodes, combo)
+            if oracle_is_spanner(graph, host.terminals) and accept(graph):
+                return tested, graph
+    raise AssertionError("a complete host always spans")
+
+
+def test_optimum_budget_counts_the_subsets_tested():
+    host = fig4_instance().host
+    assert mono_label_spanning_tree(host) is None
+    tested, first = subsets_tested_until(host, lambda graph: True)
+    assert tested == 26  # all 20 three-edge subsets, then 6 of four edges
+    assert min_terminal_spanner(host, SpannerSearchConfig(max_subsets=tested)) == first
+    with pytest.raises(SearchTooLarge):
+        min_terminal_spanner(host, SpannerSearchConfig(max_subsets=tested - 1))
+
+
+@pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+def test_nash_search_budget_counts_the_subsets_tested(setting):
+    host = fig4_instance().host
+    tested, first = subsets_tested_until(
+        host, lambda graph: sweep_ownership(host, graph, setting).equilibria
+    )
+    found = find_nash_by_search(host, setting, max_subsets=tested)
+    assert found == sweep_ownership(host, first, setting).equilibria[0]
+    with pytest.raises(SearchTooLarge):
+        find_nash_by_search(host, setting, max_subsets=tested - 1)
 
 
 def test_optimum_matches_oracle_on_random_hosts():
@@ -180,3 +219,13 @@ def test_ge_rejects_non_spanner():
     inst = fig4_instance()
     with pytest.raises(NotASpanner):
         ge_from_minimal_spanner(TemporalGraph(inst.host.nodes), inst.host)
+
+
+def test_ge_rejects_a_graph_without_every_host_node():
+    # Only the terminals and one edge between them: it spans its own nodes,
+    # but the host's other nodes reach nothing, so no profile is a GE.
+    host = random_host(4, 2, seed=3)
+    u, v = host.terminals
+    graph = TemporalGraph(host.terminals, [edge(u, v, host.min_label(u, v))])
+    with pytest.raises(NotASpanner):
+        ge_from_minimal_spanner(graph, host)

@@ -50,7 +50,7 @@ def star_target(host, center):
 def test_edge_needers_on_forced_ownership_graph():
     inst = fig4_instance()
     target = realized_graph(inst.profile, inst.host)
-    needers = edge_needers(target, inst.host)
+    needers = edge_needers(target, inst.host.terminals)
     # Every edge here has a unique node that loses a terminal without it,
     # which is what pins the ownership down to a single assignment.
     assert needers == {
@@ -65,7 +65,7 @@ def test_edge_needers_on_forced_ownership_graph():
 def test_edge_needers_all_nodes_need_a_star_edge():
     host = all_ones_host(["a", "b", "c", "v"])
     target = star_target(host, "v")
-    needers = edge_needers(target, host)
+    needers = edge_needers(target, host.terminals)
     # Removing any spoke cuts that leaf off from everyone, so every node
     # loses a terminal, not just the endpoints.
     for losing in needers.values():
@@ -130,7 +130,7 @@ def test_sweep_searches_each_agent_and_own_set_once(monkeypatch):
     # One search per (agent, own set) met before an earlier buyer of the same
     # assignment failed; verifying every survivor in full made 1,104.
     assert len(searched) == len(set(searched)) == 47
-    needers = edge_needers(target, inst.host)
+    needers = edge_needers(target, inst.host.terminals)
     keys = set()
     for owners in itertools.product(*needers.values()):
         for agent in set(owners):
