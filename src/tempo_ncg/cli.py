@@ -130,8 +130,11 @@ def _report_dict(report: VerificationReport) -> dict:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=not text.endswith("\n"))
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail_usage(f"cannot write {out}: {exc}")
 
 
 @click.group()

@@ -6,10 +6,15 @@ Every terminal spanner needs at least n - 1 time edges, because each node
 must be statically connected to the terminals. A spanning tree on a single
 label matches that bound whenever one exists (inside one label group,
 arrivals chain transitively), which settles many instances without any
-enumeration; the rest take the first spanner from :func:`terminal_spanners`,
-the one budgeted subset enumeration (``sweeps.find_nash_by_search`` walks it
-too). An equilibrium built from a minimal spanner gives each edge to its
-first needer in ``core.edge_needers``.
+enumeration; only label groups of at least n - 1 edges are tried. The rest
+take the first spanner from :func:`terminal_spanners`, the one budgeted
+subset enumeration (``sweeps.find_nash_by_search`` walks it too).
+
+When the exact search refuses, :func:`prune_to_minimal` gives the upper
+bound: it keeps the backward sweep's reach masks per label, so testing an
+edge re-sweeps only the labels at or below it and stops once the masks match
+the stored ones. An equilibrium built from a minimal spanner gives each edge
+to its first needer in ``core.edge_needers``.
 """
 
 from __future__ import annotations
@@ -23,10 +28,13 @@ from .core import (
     NodeId,
     TemporalGraph,
     TimeEdge,
+    _check_terminals,
     edge_needers,
     group_by_label,
     is_terminal_spanner,
     kruskal,
+    label_reach_masks,
+    reach_masks,
     spans_terminals,
     terminal_bits,
 )
@@ -56,13 +64,17 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
     Such a tree is a terminal spanner with exactly n - 1 time edges (within
     one label group every node reaches every other), meeting the universal
     lower bound; its existence settles the optimum without enumeration. Scans
-    labels ascending with one Kruskal pass per label group, which keeps n - 1
-    edges (the canonical tree) exactly when the label connects V.
+    labels ascending and runs Kruskal only on groups of at least n - 1 edges
+    (a shorter one cannot connect V); the pass keeps n - 1 edges (the
+    canonical tree) exactly when the label connects V.
     """
+    need = host.node_count - 1
     for _, edges in host.graph.label_groups():
+        if len(edges) < need:
+            continue
         joined, _ = kruskal(host.nodes, (e.pair for e in edges))
         kept = list(itertools.compress(edges, joined))
-        if len(kept) == host.node_count - 1:
+        if len(kept) == need:
             return TemporalGraph(host.nodes, kept)
     return None
 
@@ -123,26 +135,48 @@ def prune_to_minimal(
 ) -> TemporalGraph:
     """Drop removable time edges in one pass over the canonical edge order.
 
-    An edge is dropped when no node needs it in the graph pruned so far (one
-    sweep per edge). The result is an inclusion-minimal terminal spanner
-    (minimal inputs come back unchanged), the same one as from dropping the
-    first removable edge and rescanning until none is left: removal only
-    shrinks reachability, so an edge found needed stays needed in every
-    smaller spanner.
+    An edge is dropped when the graph pruned so far still spans without it.
+    The pass keeps the backward sweep's snapshot per label (the masks after
+    sweeping every label at or above it, :func:`core.label_reach_masks`). To
+    test an edge at label L it re-sweeps only the labels at or below L, from
+    the stored snapshot above L, and stops at the first recomputed snapshot
+    equal to the stored one: every lower snapshot then agrees too, so the
+    edge is removable and the new snapshots are kept. Masks only shrink when
+    an edge goes, so reaching time 0 without such a match means some node
+    lost a terminal and the edge stays.
+
+    The result is an inclusion-minimal terminal spanner (minimal inputs come
+    back unchanged), the same one as from dropping the first removable edge
+    and rescanning until none is left: removal only shrinks reachability, so
+    an edge found needed stays needed in every smaller spanner.
 
     Raises:
+        NoTerminals, UnknownNode: as :func:`core.is_terminal_spanner`.
         NotASpanner: input does not reach every terminal from every node.
     """
-    terminal_set = frozenset(terminals)
-    if not is_terminal_spanner(graph, terminal_set):
+    bits = terminal_bits(graph.nodes, _check_terminals(graph, terminals))
+    full = sum(bits.values())
+    groups = graph.label_groups()
+    snapshots = label_reach_masks(groups, bits, ())
+    labels = [label for label, _ in reversed(groups)]  # descending
+    time_zero = snapshots[labels[-1]] if labels else bits
+    if any(mask != full for mask in time_zero.values()):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
-    by_label = {label: list(edges) for label, edges in graph.label_groups()}
-    bits = terminal_bits(graph.nodes, terminal_set)
+    by_label = {label: list(edges) for label, edges in groups}
     for edge in graph.time_edges():
         edges = by_label[edge.label]
         at = edges.index(edge)
         del edges[at]
-        if not spans_terminals(by_label.items(), bits):
+        start = labels.index(edge.label)
+        masks = snapshots[labels[start - 1]] if start else bits
+        trial = {}
+        for label in labels[start:]:
+            masks = reach_masks(((label, by_label[label]),), masks)
+            if masks == snapshots[label]:
+                snapshots.update(trial)
+                break
+            trial[label] = masks
+        else:
             edges.insert(at, edge)
     return TemporalGraph(graph.nodes, itertools.chain.from_iterable(by_label.values()))
 

@@ -6,11 +6,12 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Five references are earlier versions of a library routine, kept so a faster
+Six references are earlier versions of a library routine, kept so a faster
 or flatter rewrite can be checked against them exactly: the restart-loop
-prune, the recursive deviation search and the per-edge greedy loop (both of
-which do use the library's reach kernel), the ownership sweep that verifies
-every assignment in full, and the nested-loop forbidden-structure scan.
+prune, the one-sweep-per-edge prune, the recursive deviation search and the
+per-edge greedy loop (these three do use the library's reach kernel), the
+ownership sweep that verifies every assignment in full, and the nested-loop
+forbidden-structure scan.
 """
 
 import itertools
@@ -33,7 +34,12 @@ from tempo_ncg import (
     necessary_terminals,
     realized_graph,
 )
-from tempo_ncg.core import group_by_label, propagate_arrivals
+from tempo_ncg.core import (
+    group_by_label,
+    propagate_arrivals,
+    spans_terminals,
+    terminal_bits,
+)
 
 
 def brute_force_arrivals(graph, source):
@@ -81,6 +87,19 @@ def oracle_prune_to_minimal(graph, terminals):
                 break
         else:
             return current
+
+
+def oracle_single_pass_prune(graph, terminals):
+    """One pass over the canonical edge order: drop an edge when the graph
+    pruned so far still spans without it (one full backward sweep per edge).
+    The input must be a spanner."""
+    by_label = {label: list(edges) for label, edges in graph.label_groups()}
+    bits = terminal_bits(graph.nodes, terminals)
+    for edge in graph.time_edges():
+        by_label[edge.label].remove(edge)
+        if not spans_terminals(by_label.items(), bits):
+            by_label[edge.label].append(edge)  # order inside a label is moot
+    return TemporalGraph(graph.nodes, itertools.chain.from_iterable(by_label.values()))
 
 
 def oracle_is_minimal_spanner(graph, terminals):

@@ -142,6 +142,22 @@ def test_gen_unknown_family_is_a_usage_error(runner):
     assert result.exit_code == 2
 
 
+# An --out path that cannot be written: a directory, or a file whose parent
+# directory is missing. Either is a usage error, not a traceback (exit 1).
+UNWRITABLE_OUT = [
+    pytest.param(lambda tmp: tmp, id="directory"),
+    pytest.param(lambda tmp: tmp / "missing" / "out.json", id="missing-parent"),
+]
+
+
+@pytest.mark.parametrize("unwritable", UNWRITABLE_OUT)
+def test_gen_unwritable_out_is_a_usage_error(runner, tmp_path, unwritable):
+    out = unwritable(tmp_path)
+    result = invoke(runner, "gen", "fig4", "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -441,6 +457,15 @@ def test_poa_json_format_and_out_file(runner, tmp_path):
     rows = json.loads(out.read_text())
     assert rows[0]["equilibrium_edges"] == 12
     assert rows[0]["optimum_edges"] == 7
+
+
+@pytest.mark.parametrize("unwritable", UNWRITABLE_OUT)
+def test_poa_unwritable_out_is_a_usage_error(runner, tmp_path, unwritable):
+    left = gen_file(runner, tmp_path, "left.json", "fig5-left")
+    out = unwritable(tmp_path)
+    result = invoke(runner, "poa", str(left), "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
 
 
 def test_poa_with_no_verified_instance_exits_2(runner, tmp_path):

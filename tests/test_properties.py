@@ -37,6 +37,7 @@ from tempo_ncg import (
     StrategyProfile,
     TemporalGraph,
     TimeEdge,
+    UnknownNode,
     Verdict,
     agent_cost,
     connected_components,
@@ -338,6 +339,29 @@ def test_single_pass_prune_matches_the_rescan_oracle(host):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(hosts(max_n=5, max_label=5), st.data())
+def test_prune_of_a_subgraph_matches_the_rescan_oracle(host, data):
+    """Subgraphs with labels up to n: a drop can then change the masks of the
+    lower labels (the re-sweep runs to time 0) or leave them as they were (it
+    stops early), and some inputs do not span at all."""
+    edges = sorted(host.time_edges())
+    keep = data.draw(
+        st.lists(st.sampled_from([True, True, True, False]),
+                 min_size=len(edges), max_size=len(edges))
+    )
+    graph = TemporalGraph(host.nodes, [e for e, k in zip(edges, keep) if k])
+    with pytest.raises(UnknownNode):
+        prune_to_minimal(graph, (*host.terminals, "zz"))
+    if not oracle_is_spanner(graph, host.terminals):
+        with pytest.raises(NotASpanner):
+            prune_to_minimal(graph, host.terminals)
+        return
+    assert prune_to_minimal(graph, host.terminals) == oracle_prune_to_minimal(
+        graph, host.terminals
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(hosts(max_n=5, max_label=3), st.data())
 def test_edge_needers_match_the_brute_force_oracle(host, data):
@@ -347,7 +371,7 @@ def test_edge_needers_match_the_brute_force_oracle(host, data):
     assert edge_needers(target, host.terminals) == oracle_edge_needers(target, host)
 
 
-@given(hosts(max_n=5, max_label=2))
+@given(hosts(max_n=5, max_label=2) | hosts(max_n=6, max_label=4))
 def test_mono_label_tree_is_the_canonical_tree_of_a_spanning_label(host):
     assert mono_label_spanning_tree(host) == oracle_mono_label_tree(host)
 

@@ -25,9 +25,16 @@ from tempo_ncg import (
     sweep_ownership,
     validate_and_normalize_host,
 )
+import tempo_ncg.spanner_opt
+from tempo_ncg.core import kruskal
 from tempo_ncg.fixtures import fig4_instance
 
-from oracles import brute_force_arrivals, naive_min_spanner, oracle_is_spanner
+from oracles import (
+    brute_force_arrivals,
+    naive_min_spanner,
+    oracle_is_spanner,
+    oracle_single_pass_prune,
+)
 
 
 def edge(u, v, label):
@@ -52,6 +59,29 @@ def test_mono_label_tree_found_when_one_label_spans():
 
 def test_mono_label_tree_absent_on_clique_fixture():
     assert mono_label_spanning_tree(fig4_instance().host) is None
+
+
+def test_mono_label_scan_skips_groups_too_short_to_span(monkeypatch):
+    # Four nodes, each label on two edges: no group can hold a 3-edge tree.
+    host = validate_and_normalize_host(
+        TemporalGraph("abcd", [
+            edge("a", "b", 1), edge("c", "d", 1), edge("a", "c", 2),
+            edge("b", "d", 2), edge("a", "d", 3), edge("b", "c", 3),
+        ]),
+        ["a"],
+    )
+    calls = []
+
+    def counted(nodes, pairs):
+        calls.append(1)
+        return kruskal(nodes, pairs)
+
+    monkeypatch.setattr(tempo_ncg.spanner_opt, "kruskal", counted)
+    assert mono_label_spanning_tree(host) is None
+    assert calls == []
+    # A group of n - 1 edges is still scanned.
+    assert mono_label_spanning_tree(random_host(5, 2, seed=9, max_label=1)) is not None
+    assert calls == [1]
 
 
 def test_all_ones_host_optimum_is_spanning_tree():
@@ -167,6 +197,15 @@ def test_prune_rejects_non_spanner():
     inst = fig4_instance()
     with pytest.raises(NotASpanner):
         prune_to_minimal(TemporalGraph(inst.host.nodes), inst.host.terminals)
+
+
+def test_prune_matches_the_one_sweep_per_edge_loop_at_n10():
+    # The shape of the prune-fallback hosts: 45 edges over about ten labels.
+    for seed in range(4):
+        host = random_host(10, 3, seed)
+        assert prune_to_minimal(host.graph, host.terminals) == oracle_single_pass_prune(
+            host.graph, host.terminals
+        )
 
 
 def test_minimum_never_exceeds_pruned_size():
