@@ -27,6 +27,7 @@ from .core import (
     is_terminal_spanner,
     kruskal,
     label_reach_masks,
+    propagate_arrivals,
     terminal_bits,
     validate_and_normalize_host,
 )
@@ -745,12 +746,13 @@ def dense_cycle_lemma_checks(x: int) -> DenseCycleChecks:
 def lifetime2_tree_ne(host: HostGraph) -> StrategyProfile:
     """Spanning-tree equilibrium for hosts whose lifetime is at most 2.
 
-    With ``root`` the first terminal: if the label-2 pairs connect every
-    node, each child of a breadth-first label-2 tree from ``root`` buys its
-    parent edge; otherwise every pair leaving root's label-2 component
-    carries label 1 (the host is complete), and a label-1 double star works:
-    outsiders buy their edge to ``root``, the rest of root's component buys
-    its edge to one outside hub.
+    With ``root`` the first terminal: if the label-2 edges connect every
+    node, each node of root's earliest-arrival tree over the label-2 group
+    (:func:`core.propagate_arrivals`) buys the edge that reached it;
+    otherwise every pair leaving root's label-2 component carries label 1
+    (the host is complete), and a label-1 double star works: outsiders buy
+    their edge to ``root``, the rest of root's component buys its edge to
+    one outside hub.
 
     Either tree is an equilibrium in both settings. Its edges share one
     label, so every node reaches every other along the tree. Every buyer
@@ -764,26 +766,15 @@ def lifetime2_tree_ne(host: HostGraph) -> StrategyProfile:
     """
     if host.lifetime > 2:
         raise PreconditionFailed("construction applies to lifetime <= 2 hosts")
-    label2: dict[NodeId, list[NodeId]] = {n: [] for n in host.nodes}
-    for a, b in itertools.combinations(host.nodes, 2):
-        if 2 in host.labels(a, b):
-            label2[a].append(b)
-            label2[b].append(a)
-    # Breadth-first search of root's label-2 component.
     root = host.terminals[0]
-    parent = {root: root}
-    order = [root]
-    for current in order:
-        for nxt in sorted(label2[current]):
-            if nxt not in parent:
-                parent[nxt] = current
-                order.append(nxt)
-    if len(order) == host.node_count:
-        strategies = {v: {TimeEdge(v, parent[v], 2)} for v in order[1:]}
+    label2 = dict(host.graph.label_groups()).get(2, ())
+    arrival, tree = propagate_arrivals(((2, label2),), root)
+    if len(arrival) == host.node_count:
+        strategies = {v: {edge} for v, edge in tree.items()}
     else:
-        outside = sorted(set(host.nodes) - parent.keys())
+        outside = sorted(set(host.nodes) - arrival.keys())
         strategies = {v: {TimeEdge(v, root, 1)} for v in outside}
-        for u in order[1:]:
+        for u in tree:
             strategies[u] = {TimeEdge(u, outside[0], 1)}
     profile = StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)
     graph = realized_graph(profile, host)

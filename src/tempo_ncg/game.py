@@ -15,9 +15,9 @@ the terminal bits, the bought edges, those that two or more agents buy and,
 once asked for, the adjacency and the reach masks that price every agent.
 Like a validation, it is memoized on the profile outside the fields, per host
 object, so equality and pickling ignore it and copies build their own; a move
-copies its parent's, updated by the one edge. An edge of the realized graph
-is not one of the other agents' exactly when ``v`` alone buys it, so the
-realized groups without ``own - shared`` are the others' groups, in order.
+updates its parent's bought and shared edges by the one edge and regroups.
+An edge of the realized graph is not the others' exactly when ``v`` alone
+buys it, so the groups without ``own - shared`` are the others', in order.
 
 Exactness of the NE search rests on two facts. First, on a complete host an
 agent missing a terminal always has an improving response (direct edges to
@@ -201,6 +201,10 @@ class StrategyProfile:
         return sum(len(edges) for edges in self.strategies.values())
 
     def relabel(self, mapping: Mapping[NodeId, NodeId]) -> "StrategyProfile":
+        """Rename agents and endpoints through ``mapping``, which must be total
+        and injective on them, as :meth:`TemporalGraph.relabel_nodes` checks."""
+        ends = (x for edge in self.bought_edges() for x in (edge.u, edge.v))
+        TemporalGraph((*self.strategies, *ends)).relabel_nodes(mapping)
         return StrategyProfile(
             setting=self.setting,
             strategies={
@@ -368,23 +372,8 @@ class _RealizedIndex:
         who buys ``edge``; this index is left unchanged (module docstring)."""
         buyers = sum(edge in own for own in s.strategies.values())
         shared = self.shared | {edge} if buyers > 1 else self.shared - {edge}
-        groups, bought = self.groups, self.bought
-        adjacency = self.__dict__.get("adjacency")
-        if (buyers > 0) != (edge in bought):
-            bought = bought ^ {edge}
-            by_label = dict(groups)
-            by_label[edge.label] = tuple(sorted({*by_label.get(edge.label, ())} ^ {edge}))
-            groups = tuple(group for group in sorted(by_label.items()) if group[1])
-            if adjacency is not None:
-                rows = {
-                    x: sorted({*adjacency.get(x, ())} ^ {(edge.label, y)})
-                    for x, y in ((edge.u, edge.v), (edge.v, edge.u))
-                }
-                adjacency = {x: row for x, row in {**adjacency, **rows}.items() if row}
-        index = _RealizedIndex(groups, self.bits, self.full, bought, shared)
-        if adjacency is not None:
-            index.__dict__["adjacency"] = adjacency
-        return index
+        bought = self.bought | {edge} if buyers else self.bought - {edge}
+        return _RealizedIndex(group_by_label(bought), self.bits, self.full, bought, shared)
 
 
 def _remember(s: StrategyProfile, host: HostGraph, index: _RealizedIndex) -> None:
@@ -861,9 +850,9 @@ def greedy_dynamics(
 
     On convergence the final profile is re-verified by is_greedy_equilibrium
     and the report attached. Non-convergence is reported, not raised;
-    ``max_rounds=0`` runs no round and reports exactly that. After a move the
-    new profile's index is its parent's updated by the one edge, and only an
-    added edge is validated; the final check reuses that index.
+    ``max_rounds=0`` runs no round and reports exactly that. A move updates
+    its parent's bought and shared edges by the one edge and regroups, only
+    an added edge is validated, and the final check reuses that index.
 
     Raises:
         ValueError: ``max_rounds`` is negative.

@@ -37,8 +37,7 @@ class InstanceFile:
     default_label: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("instance name must be nonempty")
+        _check_fields(self.name, self.source, self.default_label)
         for node in self.host.nodes:
             if PAIR_SEPARATOR in node:
                 raise ValueError(
@@ -47,6 +46,17 @@ class InstanceFile:
                 )
         if self.profile is not None:
             self.profile.validate(self.host)
+
+
+def _check_fields(name: object, source: object, default_label: object) -> None:
+    """The checks an instance's name, source and default label pass both when
+    parsed and when constructed, so every instance writes a readable file."""
+    if not isinstance(name, str) or not name:
+        raise ValueError("instance needs a nonempty string name")
+    if source is not None and not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
+    if default_label is not None and (type(default_label) is not int or default_label < 1):
+        raise ValueError(f"default_label must be a positive int, got {default_label!r}")
 
 
 def instance_to_dict(instance: InstanceFile) -> dict:
@@ -91,24 +101,18 @@ def instance_from_dict(data: dict) -> InstanceFile:
     version = data.get("v") if isinstance(data, dict) else None
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"expected schema version {SCHEMA_VERSION}")
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        raise ValueError("instance needs a nonempty string name")
-    source = data.get("source")
-    if source is not None and not isinstance(source, str):
-        raise ValueError(f"source must be a string, got {source!r}")
     host_data = data.get("host")
     if not isinstance(host_data, dict):
         raise ValueError("instance needs a host object")
+    name, source = data.get("name"), data.get("source")
+    default_label = host_data.get("default_label")
+    _check_fields(name, source, default_label)  # before the default fills pairs
     nodes = host_data.get("nodes")
     terminals = host_data.get("terminals")
     if not isinstance(nodes, list) or not isinstance(terminals, list):
         raise ValueError("host needs node and terminal lists")
     if not all(isinstance(node, str) for node in nodes + terminals):
         raise ValueError("node and terminal ids must be strings")
-    default_label = host_data.get("default_label")
-    if default_label is not None and (type(default_label) is not int or default_label < 1):
-        raise ValueError(f"default_label must be a positive int, got {default_label!r}")
     node_set = set(nodes)
     listed: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
     raw_edges = host_data.get("edges", {})

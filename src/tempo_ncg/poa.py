@@ -3,8 +3,9 @@
 At any verified equilibrium the social cost is (0, realized edge count), so
 the interesting ratio is realized edges over the minimum terminal spanner
 size. Optima are exact whenever the search succeeds; otherwise the record
-carries a constructive upper bound flagged as inexact together with the
-universal n - 1 lower bound, never a silent guess.
+carries an upper bound flagged as inexact, the size of the host pruned to an
+inclusion-minimal spanner, together with the universal n - 1 lower bound,
+never a silent guess.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .game import (
     realized_graph,
 )
 from .spanner_opt import min_terminal_spanner, prune_to_minimal
-
-PRUNE_EDGE_LIMIT = 300
 
 CSV_COLUMNS = (
     "name",
@@ -83,13 +82,9 @@ def compute_optimum(host: HostGraph) -> tuple[int, bool, int]:
 
 
 def optimum_bounds(host: HostGraph) -> tuple[int, int]:
-    """(upper, lower) optimum bounds without the exact search: the host
-    pruned to an inclusion-minimal spanner, or above ``PRUNE_EDGE_LIMIT``
-    host edges the host's own (weak) edge count, and n - 1."""
-    if host.time_edge_count <= PRUNE_EDGE_LIMIT:
-        upper = prune_to_minimal(host.graph, host.terminals).time_edge_count
-    else:
-        upper = host.time_edge_count
+    """(upper, lower) optimum bounds without the exact search: the size of
+    the host pruned to an inclusion-minimal spanner, and n - 1."""
+    upper = prune_to_minimal(host.graph, host.terminals).time_edge_count
     return upper, max(host.node_count - 1, 0)
 
 

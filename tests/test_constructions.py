@@ -698,13 +698,13 @@ CONSTRUCTION_DIGESTS = {
         "484ba5797d226d053716cee572f4594cd027dddd4feae4dfc32e9fe2c2f7d0d8"
     ),
     "extend_with_nonterminal": (
-        "8c2baa5521c72c658551d68ed6b388ba1c363d97ce68d41754cad70a3c70f630"
+        "b3964fdf392dd21dd1eac12c4cd6743f6b34e9c92c7cf33ce82bfd6b412282b8"
     ),
     "scale_with_nonterminals": (
         "138a18e316282a4e547f3c8879c6c772c5ce3e029763c0ced5979b679c2a6a92"
     ),
     "lifetime2_tree_ne": (
-        "f8fbf253873f6f3987ea14e2fbcc7981d78c4f0aa81ee10bfd24f5ea45c74e14"
+        "8208e3271ff4ee352dba482353df6e023e4da022163d98ecb6a9307f870ddc98"
     ),
 }
 

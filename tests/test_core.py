@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,27 @@ def test_star_import_binds_exactly_the_public_names():
     for name in tempo_ncg.__all__:
         assert not name.startswith("_")
         assert not isinstance(getattr(tempo_ncg, name), types.ModuleType)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """A deletion that leaves an import behind fails here. ``__init__.py``
+    imports in order to export; every other module must read each name it
+    imports (the modules defer annotations, which still parse to names)."""
+    unused = []
+    for path in sorted(Path(tempo_ncg.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {n}" for n in names if n not in read]
+    assert unused == []
 
 
 # --- TimeEdge ---------------------------------------------------------------

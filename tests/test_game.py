@@ -184,6 +184,18 @@ def test_with_strategy_and_relabel_round_trip():
     assert p.relabel(mapping).relabel(back) == p
 
 
+def test_relabel_rejects_a_mapping_that_merges_or_misses_a_node():
+    inst = fig5_left_instance()
+    p = inst.profile
+    names = {v: v for v in inst.host.nodes}
+    agents = sorted(p.strategies)
+    with pytest.raises(ValueError, match="not injective"):
+        p.relabel({**names, agents[0]: "x", agents[1]: "x"})
+    del names[agents[0]]
+    with pytest.raises(UnknownNode, match="misses"):
+        p.relabel(names)
+
+
 # --- costs -------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -231,6 +232,24 @@ def test_rejects_boolean_schema_version(version):
     data["v"] = version
     with pytest.raises(ValueError, match="schema version"):
         instance_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("name", 5), ("source", 7), ("default_label", 0), ("default_label", True),
+     ("default_label", 2.0)],
+)
+def test_construction_rejects_what_the_parser_rejects(field, value):
+    # Each was accepted here once, and dumps_instance wrote a file that
+    # loads_instance refused.
+    inst = get_fixture("fig4")
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(inst, **{field: value})
+    data = instance_to_dict(inst)
+    (data["host"] if field == "default_label" else data)[field] = value
+    with pytest.raises(ValueError) as parsed:
+        instance_from_dict(data)
+    assert str(built.value) == str(parsed.value)
 
 
 def test_rejects_non_string_source():

@@ -21,7 +21,6 @@ from tempo_ncg import (
     validate_and_normalize_host,
 )
 from tempo_ncg.fixtures import fig4_instance
-from tempo_ncg.poa import PRUNE_EDGE_LIMIT
 
 
 def test_scaled_hypercube_record():
@@ -103,13 +102,12 @@ def test_compute_optimum_falls_back_to_pruning():
     assert lower <= optimum <= host.time_edge_count
 
 
-def test_compute_optimum_degrades_to_host_size_above_prune_limit():
-    # 325 single-label pairs: no label class spans, the exact search refuses
-    # the pool, and the host is too large to prune.
+def test_compute_optimum_prunes_a_large_host():
+    # 325 single-label pairs: no label class spans and the exact search
+    # refuses the pool, so the host is pruned, to one edge above n - 1.
     host = random_host(26, 2, 0)
-    assert host.time_edge_count > PRUNE_EDGE_LIMIT
-    optimum, exact, lower = compute_optimum(host)
-    assert (optimum, exact, lower) == (host.time_edge_count, False, 25)
+    assert host.time_edge_count == 325
+    assert compute_optimum(host) == (26, False, 25)
 
 
 def test_csv_columns_and_name_order():

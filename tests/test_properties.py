@@ -83,6 +83,7 @@ from tempo_ncg.game import (
     _realized_index,
     _since_table,
 )
+from tempo_ncg.poa import optimum_bounds
 
 
 def _pairs(nodes):
@@ -337,6 +338,27 @@ def test_single_pass_prune_matches_the_rescan_oracle(host):
     assert prune_to_minimal(host.graph, host.terminals) == oracle_prune_to_minimal(
         host.graph, host.terminals
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_optimum_bounds_bracket_the_exact_optimum(n, data):
+    """One label per pair keeps every host within the exact search's pool of
+    20 edges, so the optimum is always exact here."""
+    nodes = tuple(f"n{i}" for i in range(n))
+    pairs = _pairs(nodes)
+    labels = data.draw(
+        st.lists(st.integers(min_value=1, max_value=3),
+                 min_size=len(pairs), max_size=len(pairs))
+    )
+    graph = TemporalGraph(
+        nodes, [TimeEdge(u, v, label) for (u, v), label in zip(pairs, labels)]
+    )
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    host = HostGraph(graph=graph, terminals=nodes[:k])
+    upper, lower = optimum_bounds(host)
+    assert upper == prune_to_minimal(host.graph, host.terminals).time_edge_count
+    assert lower <= min_terminal_spanner(host).time_edge_count <= upper
 
 
 @settings(max_examples=60, deadline=None)
