@@ -15,7 +15,8 @@ the terminal bits, the bought edges, those that two or more agents buy and,
 once asked for, the adjacency and the reach masks that price every agent.
 Like a validation, it is memoized on the profile outside the fields, per host
 object, so equality and pickling ignore it and copies build their own; a move
-updates its parent's bought and shared edges by the one edge and regroups.
+updates its parent's bought and shared edges by the one edge and regroups,
+unless it only changes who buys a still-bought edge.
 An edge of the realized graph is not the others' exactly when ``v`` alone
 buys it, so the groups without ``own - shared`` are the others', in order.
 
@@ -93,6 +94,7 @@ reaches. The terminals of T left over are those the removal loses.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -372,6 +374,13 @@ class _RealizedIndex:
         who buys ``edge``; this index is left unchanged (module docstring)."""
         buyers = sum(edge in own for own in s.strategies.values())
         shared = self.shared | {edge} if buyers > 1 else self.shared - {edge}
+        if (edge in self.bought) == (buyers > 0):
+            # Only who buys a still-bought edge changed: the graph is the same,
+            # so a shallow copy keeps the groups and the cached masks and
+            # adjacency.
+            moved = copy.copy(self)
+            object.__setattr__(moved, "shared", shared)
+            return moved
         bought = self.bought | {edge} if buyers else self.bought - {edge}
         return _RealizedIndex(group_by_label(bought), self.bits, self.full, bought, shared)
 

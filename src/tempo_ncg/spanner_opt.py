@@ -8,7 +8,9 @@ label matches that bound whenever one exists (inside one label group,
 arrivals chain transitively), which settles many instances without any
 enumeration; only label groups of at least n - 1 edges are tried. The rest
 take the first spanner from :func:`terminal_spanners`, the one budgeted
-subset enumeration (``sweeps.find_nash_by_search`` walks it too).
+subset enumeration (``sweeps.find_nash_by_search`` walks it too), which
+skips the subsets that provably cannot span and yields the same spanners,
+in the same order, as testing every subset.
 
 When the exact search refuses, :func:`prune_to_minimal` gives the upper
 bound: it keeps the backward sweep's reach masks per label, so testing an
@@ -20,6 +22,7 @@ to its first needer in ``core.edge_needers``.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -30,7 +33,6 @@ from .core import (
     TimeEdge,
     _check_terminals,
     edge_needers,
-    group_by_label,
     is_terminal_spanner,
     kruskal,
     label_reach_masks,
@@ -81,22 +83,97 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
 
 def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGraph]:
     """Every terminal spanner among the host's time-edge subsets, by ascending
-    size from n - 1 and in ``combinations`` order within a size. Each subset
-    costs one backward sweep over its label groups.
+    size from n - 1 and in ``combinations`` order within a size.
+
+    Each size is walked depth-first over pool positions, on an explicit
+    stack, with a subset carried as a bitmask. One rule makes the walk sound:
+    a subset is yielded only after a full sweep of its own edges
+    (``core.spans_terminals``) passes. The prunes skip only subtrees that
+    provably hold no spanner, so the spanners and their order are those of
+    plain enumeration:
+
+    - superset: if the prefix plus every pool edge from position k on does
+      not span, no completion whose next edge is k or later does (reach only
+      grows with edges), so child k and every later sibling are skipped. The
+      last edge of a subset gets no such test, which would cost as much as
+      testing the subset itself;
+    - inheritance: a frame keeps ``known``, the largest j for which the
+      prefix plus ``pool[j:]`` is known to span (0 at the root, as the host
+      is complete), and hands ``max(k + 1, known)`` to child k, so the first
+      subset of a size costs no test but its own;
+    - static forest: a spanner of size s is statically connected, so at most
+      s - (n - 1) of its edges join a node to its own component (a static
+      cycle or a repeated pair); a child past that slack is skipped.
+
+    ``max_subsets`` bounds the rank reached in plain enumeration: a tested
+    subset counts one and a skipped subtree counts all its subsets, so the
+    search refuses exactly where plain enumeration would.
 
     Raises:
-        SearchTooLarge: the consumer asks for more than ``max_subsets`` tests.
+        SearchTooLarge: the next spanner lies past rank ``max_subsets``.
     """
     pool = host.sorted_time_edges
+    n, m = host.node_count, len(pool)
     bits = terminal_bits(host.nodes, host.terminals)
-    tested = 0
-    for size in range(host.node_count - 1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            tested += 1
-            if tested > max_subsets:
-                raise SearchTooLarge(f"subset enumeration exceeded {max_subsets} sets")
-            if spans_terminals(group_by_label(combo), bits):
-                yield TemporalGraph(host.nodes, combo)
+    slot = {edge: i for i, edge in enumerate(pool)}
+    groups = [
+        (label, sum(1 << slot[e] for e in edges), [(1 << slot[e], e) for e in edges])
+        for label, edges in host.graph.label_groups()
+    ]
+    node_at = {node: i for i, node in enumerate(host.nodes)}
+    ends = [(node_at[e.u], node_at[e.v]) for e in pool]
+    suffix = [(1 << m) - (1 << j) for j in range(m + 1)]
+    rank = 0
+
+    def spans(chosen: int) -> bool:
+        return spans_terminals(
+            [
+                (label, [e for bit, e in edges if chosen & bit])
+                for label, mask, edges in groups
+                if chosen & mask
+            ],
+            bits,
+        )
+
+    def advance(subsets: int) -> None:
+        nonlocal rank
+        rank += subsets
+        if rank > max_subsets:
+            raise SearchTooLarge(f"subset enumeration exceeded {max_subsets} sets")
+
+    for size in range(n - 1, m + 1):
+        # A frame: the chosen positions, the next position k, known, the
+        # static component of each node, the slack left and the edges still
+        # to choose.
+        stack = [(0, 0, 0, tuple(range(n)), size - n + 1, size)]
+        while stack:
+            chosen, k, known, comp, spare, left = stack.pop()
+            if not left:
+                advance(1)
+                if spans(chosen):
+                    yield TemporalGraph(
+                        host.nodes, (e for i, e in enumerate(pool) if chosen >> i & 1)
+                    )
+                continue
+            if k > m - left:
+                continue
+            a, b = comp[ends[k][0]], comp[ends[k][1]]
+            if a == b and not spare:
+                advance(math.comb(m - k - 1, left - 1))
+                stack.append((chosen, k + 1, known, comp, spare, left))
+                continue
+            if k > known and left > 1:
+                if not spans(chosen | suffix[k]):
+                    advance(math.comb(m - k, left))
+                    continue
+                known = k
+            stack.append((chosen, k + 1, known, comp, spare, left))
+            if a == b:
+                spare -= 1
+            else:
+                comp = tuple(a if c == b else c for c in comp)
+            child = (chosen | 1 << k, k + 1, max(k + 1, known), comp, spare, left - 1)
+            stack.append(child)
 
 
 def min_terminal_spanner(

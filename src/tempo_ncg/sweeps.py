@@ -193,7 +193,8 @@ def find_nash_by_search(
     inputs); refuses larger spaces.
 
     Raises:
-        SearchTooLarge: more than ``max_subsets`` subsets are tested.
+        SearchTooLarge: the next spanner lies past rank ``max_subsets`` of
+            the subset enumeration.
     """
     for spanner in terminal_spanners(host, max_subsets):
         result = sweep_ownership(host, spanner, setting)

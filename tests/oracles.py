@@ -6,12 +6,13 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Six references are earlier versions of a library routine, kept so a faster
-or flatter rewrite can be checked against them exactly: the restart-loop
-prune, the one-sweep-per-edge prune, the recursive deviation search and the
-per-edge greedy loop (these three do use the library's reach kernel), the
-ownership sweep that verifies every assignment in full, and the nested-loop
-forbidden-structure scan.
+Seven references are earlier versions of a library routine, kept so a
+faster or flatter rewrite can be checked against them exactly: the
+restart-loop prune, the one-sweep-per-edge prune, the plain subset loop of
+the spanner search, the recursive deviation search and the per-edge greedy
+loop (these four do use the library's reach kernel), the ownership sweep that
+verifies every assignment in full, and the nested-loop forbidden-structure
+scan.
 """
 
 import itertools
@@ -100,6 +101,34 @@ def oracle_single_pass_prune(graph, terminals):
         if not spans_terminals(by_label.items(), bits):
             by_label[edge.label].append(edge)  # order inside a label is moot
     return TemporalGraph(graph.nodes, itertools.chain.from_iterable(by_label.values()))
+
+
+def oracle_terminal_spanners(host, max_subsets):
+    """Plain enumeration of the terminal spanners: every time-edge subset by
+    ascending size from n - 1, in ``combinations`` order, one full sweep
+    each; raises once more than ``max_subsets`` subsets are tested."""
+    pool = host.sorted_time_edges
+    bits = terminal_bits(host.nodes, host.terminals)
+    tested = 0
+    for size in range(host.node_count - 1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            tested += 1
+            if tested > max_subsets:
+                raise SearchTooLarge(f"subset enumeration exceeded {max_subsets} sets")
+            if spans_terminals(group_by_label(combo), bits):
+                yield TemporalGraph(host.nodes, combo)
+
+
+def take_spanners(spanners, count=None):
+    """The first ``count`` spanners of a budgeted search (every one when
+    None), followed by "refused" if it raised ``SearchTooLarge`` first."""
+    taken = []
+    try:
+        for graph in itertools.islice(spanners, count):
+            taken.append(graph)
+    except SearchTooLarge:
+        taken.append("refused")
+    return taken
 
 
 def oracle_is_minimal_spanner(graph, terminals):

@@ -26,6 +26,8 @@ from oracles import (
     oracle_prune_to_minimal,
     oracle_reach,
     oracle_sweep_ownership,
+    oracle_terminal_spanners,
+    take_spanners,
 )
 from tempo_ncg import (
     CostBreakdown,
@@ -84,6 +86,7 @@ from tempo_ncg.game import (
     _since_table,
 )
 from tempo_ncg.poa import optimum_bounds
+from tempo_ncg.spanner_opt import terminal_spanners
 
 
 def _pairs(nodes):
@@ -315,6 +318,20 @@ def test_min_spanner_is_the_first_spanner_of_plain_enumeration(host):
     else:
         assert min_terminal_spanner(host) == tree
         assert size == host.node_count - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hosts(max_n=5, max_label=3),
+    st.integers(min_value=1, max_value=5000),
+    st.sampled_from([1, 2, 4, None]),
+)
+def test_pruned_spanner_walk_matches_plain_enumeration(host, budget, count):
+    # The same spanners in the same order, and a refusal at the same point,
+    # for any budget and however many spanners the caller takes.
+    assert take_spanners(terminal_spanners(host, budget), count) == take_spanners(
+        oracle_terminal_spanners(host, budget), count
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -693,9 +710,19 @@ def test_one_edge_update_matches_a_rebuild(case, rng):
             index.adjacency  # a parent with its adjacency built
         else:
             index = dataclasses.replace(index)  # one without
-        moved = index.moved(child, e)
+        with mock.patch.object(
+            tempo_ncg.game, "group_by_label", wraps=group_by_label
+        ) as regroup:
+            moved = index.moved(child, e)
         fresh = _realized_index(copy.copy(child), host)
         assert moved == fresh
+        # A move that only changes who buys a still-bought edge keeps the
+        # graph: it neither regroups nor drops what the parent has cached.
+        ownership_only = (e in index.bought) == (e in fresh.bought)
+        assert regroup.call_count == (0 if ownership_only else 1)
+        for cached in ("adjacency", "masks"):
+            if ownership_only and cached in vars(index):
+                assert vars(moved)[cached] is vars(index)[cached]
         assert moved.adjacency == fresh.adjacency
         assert moved.masks == fresh.masks
         profile, index = child, moved

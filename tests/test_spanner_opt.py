@@ -25,15 +25,19 @@ from tempo_ncg import (
     sweep_ownership,
     validate_and_normalize_host,
 )
+import oracles
 import tempo_ncg.spanner_opt
 from tempo_ncg.core import kruskal
 from tempo_ncg.fixtures import fig4_instance
+from tempo_ncg.spanner_opt import terminal_spanners
 
 from oracles import (
     brute_force_arrivals,
     naive_min_spanner,
     oracle_is_spanner,
     oracle_single_pass_prune,
+    oracle_terminal_spanners,
+    take_spanners,
 )
 
 
@@ -111,6 +115,8 @@ def test_dense_cycle_optimum_is_node_count_minus_one():
 def test_single_node_optimum_is_empty():
     host = validate_and_normalize_host(TemporalGraph(["a"]), ["a"])
     assert min_terminal_spanner(host).time_edge_count == 0
+    # The size-0 layer is the whole walk: it yields the empty graph once.
+    assert take_spanners(terminal_spanners(host, 1)) == [TemporalGraph(["a"])]
 
 
 def test_optimum_refuses_oversized_searches():
@@ -155,6 +161,90 @@ def test_nash_search_budget_counts_the_subsets_tested(setting):
     assert found == sweep_ownership(host, first, setting).equilibria[0]
     with pytest.raises(SearchTooLarge):
         find_nash_by_search(host, setting, max_subsets=tested - 1)
+
+
+def count_sweeps(monkeypatch, module):
+    """Record each ``spans_terminals`` call made from ``module``."""
+    calls = []
+    real = module.spans_terminals
+
+    def counted(groups, bits):
+        calls.append(1)
+        return real(groups, bits)
+
+    monkeypatch.setattr(module, "spans_terminals", counted)
+    return calls
+
+
+def test_two_node_walk_yields_every_nonempty_subset():
+    host = validate_and_normalize_host(
+        TemporalGraph("ab", [edge("a", "b", 1), edge("a", "b", 2)]), ["a"]
+    )
+    spanners = take_spanners(terminal_spanners(host, 3))
+    assert [graph.time_edge_count for graph in spanners] == [1, 1, 2]
+    assert spanners == take_spanners(oracle_terminal_spanners(host, 3))
+    assert take_spanners(terminal_spanners(host, 2)) == spanners[:2] + ["refused"]
+
+
+def test_a_budget_inside_a_skipped_block_refuses_where_plain_enumeration_does(
+    monkeypatch,
+):
+    # On the clique fixture the three-edge subsets of ranks 17-20 (those from
+    # the third pool edge on) cannot span, so the walk skips them as one
+    # block: budgets 16 to 19 cost it the same sweeps and all refuse.
+    host = fig4_instance().host
+    for budget in range(1, 40):
+        assert take_spanners(terminal_spanners(host, budget), 3) == take_spanners(
+            oracle_terminal_spanners(host, budget), 3
+        )
+    sweeps = count_sweeps(monkeypatch, tempo_ncg.spanner_opt)
+    cost = {}
+    for budget in (16, 19):
+        sweeps.clear()
+        with pytest.raises(SearchTooLarge):
+            next(terminal_spanners(host, budget))
+        cost[budget] = len(sweeps)
+    assert cost[16] == cost[19] < 16
+
+
+def test_pruning_sweeps_at_most_half_of_plain_enumerations_rank(monkeypatch):
+    host = random_host(6, 3, seed=9)
+    assert mono_label_spanning_tree(host) is None
+    assert host.time_edge_count <= SpannerSearchConfig().max_candidate_edges
+    # Plain enumeration sweeps each subset once, so its count is the rank.
+    rank = count_sweeps(monkeypatch, oracles)
+    first = next(oracle_terminal_spanners(host, 10**6))
+    sweeps = count_sweeps(monkeypatch, tempo_ncg.spanner_opt)
+    assert min_terminal_spanner(host) == first
+    assert len(rank) > 1000
+    assert len(sweeps) <= len(rank) // 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pruned_walk_finds_plain_enumerations_first_spanner_at_n6(k):
+    for seed in range(30):
+        host = random_host(6, k, seed)
+        assert next(terminal_spanners(host, 10**6)) == next(
+            oracle_terminal_spanners(host, 10**6)
+        )
+
+
+@pytest.mark.slow
+def test_pruned_walk_finds_the_first_spanner_on_838_hosts():
+    # Every host of n = 5 or 6, k = 2 or 3 and seeds 0-299 that the exact
+    # optimum search enumerates: no one-label tree, at most 20 pool edges.
+    enumerated = 0
+    for n, k, seed in itertools.product((5, 6), (2, 3), range(300)):
+        host = random_host(n, k, seed)
+        if len(host.sorted_time_edges) > 20:
+            continue
+        if mono_label_spanning_tree(host) is not None:
+            continue
+        enumerated += 1
+        assert next(terminal_spanners(host, 10**6)) == next(
+            oracle_terminal_spanners(host, 10**6)
+        ), (n, k, seed)
+    assert enumerated == 838
 
 
 def test_optimum_matches_oracle_on_random_hosts():
