@@ -114,6 +114,8 @@ def _report_dict(report: VerificationReport) -> dict:
         "verdict": report.verdict.value,
         "states_examined": report.states_examined,
     }
+    if report.exhausted:
+        data["exhausted"] = list(report.exhausted)
     if report.witness is not None:
         data["witness"] = {
             "agent": report.witness.agent,
@@ -218,6 +220,8 @@ def verify(instance, kind, budget, fmt) -> None:
         writer.writerow(("verdict", "witness_agent", "witness_strategy", "states_examined"))
         writer.writerow((data["verdict"], witness.get("agent", ""),
                          json.dumps(witness.get("strategy", [])), data["states_examined"]))
+        if report.exhausted:
+            click.echo(f"budget ran out for: {', '.join(report.exhausted)}", err=True)
     sys.exit(_EXIT_BY_VERDICT[report.verdict])
 
 

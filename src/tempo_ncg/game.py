@@ -73,6 +73,28 @@ under O: the start map is a fixed point over O, and the walk above relaxes
 O from every node it improves. So an edge of O has both ends or neither end
 reached by its label, and the XOR cancels its bit.
 
+In the local setting every candidate touches ``v``, which gives the union
+lemma: a strategy S reaches the terminals O reaches from ``v`` plus, for
+each (v, b, L) in S, ``masks[L][b]``. A walk in O + S to a terminal either
+uses no edge of S, or its part after its last edge of S is a walk over O
+that leaves ``b`` at L or later, or leaves ``v`` itself, which O reaches at
+time 0. So a pass r can win only if at most r of these masks, ORed with
+the start's terminals, cover ``need``: a maximum-coverage question over
+integers, decided by branch and bound on its own stack. A mask that another
+contains is dropped (so is every later label into the same far node, as
+``masks[L][b]`` only shrinks as L grows), and a node is pruned when its
+cover plus its r' largest marginal gains falls short, r' being the masks
+still to choose. The search skips every pass whose check fails and walks
+from the first, r*, that succeeds. The witness stays the plain search's.
+A witness of a pass is a cover for it, so every pass the check fails, the
+plain walk fails too. Take an inclusion-minimal cover T of ``need(r*)``. As
+``need`` never falls as r grows, a T of fewer than r* masks would have
+passed an earlier check, so T has r* edges; it is an inclusion-minimal
+strategy that wins, so the plain walk of pass r* finds a witness, and the
+same walk returns the same first one. The check makes no propagation. Each
+of its nodes counts one unit of the budget and of ``states_examined``, so
+a budget can still leave a local search inexact.
+
 The greedy check tests a single add with the same lookup (O is then the
 whole realized graph G and C is empty) and a single remove by repairing a
 subtree. The predecessors of one propagation over G form an earliest-arrival
@@ -295,6 +317,9 @@ class VerificationReport:
     witness: DeviationWitness | None = None
     certificates: Mapping[str, Certificate] = field(default_factory=dict)
     states_examined: int = 0
+    # For an inconclusive verdict, the agents whose search ran out of budget,
+    # in node order; empty otherwise.
+    exhausted: tuple[NodeId, ...] = ()
 
     @property
     def is_equilibrium(self) -> bool:
@@ -308,6 +333,11 @@ class SearchOutcome:
     ``response`` is None when no improving strategy was found; ``exact`` tells
     whether that none is a proof (search space fully covered) or only a
     budget-limited heuristic answer. A found response is always valid.
+
+    ``states_examined``, the unit a ``budget`` caps, counts the candidate
+    sets the walk examines in the global setting. In the local setting it
+    counts the coverage check's branch-and-bound nodes over every pass plus
+    the walk's states in the one pass that walk runs (module docstring).
     """
 
     response: frozenset[TimeEdge] | None
@@ -529,6 +559,36 @@ def _grow_frame(
     return grown, improving, reached
 
 
+def _covers(
+    gains: list[int], r: int, need: int, examined: int, budget: int | None
+) -> tuple[bool, int]:
+    """Whether at most ``r`` of ``gains`` OR to ``need`` or more bits, and
+    ``examined`` plus the branch-and-bound nodes popped; the search stops with
+    False once that total passes ``budget``. A node is pruned when its cover
+    plus its ``left`` largest marginal gains falls short of ``need``."""
+    stack = [(0, 0, r)]
+    while stack:
+        covered, first, left = stack.pop()
+        examined += 1
+        if budget is not None and examined > budget:
+            return False, examined
+        have = covered.bit_count()
+        if have >= need:
+            return True, examined
+        if not left:
+            continue
+        marginal = sorted(
+            ((gain & ~covered).bit_count(), j)
+            for j, gain in enumerate(gains[first:], first)
+        )
+        if have + sum(m for m, _ in marginal[-left:]) >= need:
+            # The largest marginal gain is popped first.
+            stack.extend(
+                (covered | gains[j], j + 1, left - 1) for m, j in marginal if m
+            )
+    return False, examined
+
+
 def find_improving_response(
     v: NodeId,
     s: StrategyProfile,
@@ -545,13 +605,15 @@ def find_improving_response(
     order. The depth-first walk keeps its own stack, so its depth does not
     depend on Python's recursion limit; each frame carries its improving
     extensions as a bitmask, and the last edge of each candidate is tested
-    by one lookup in masks built once per search (module docstring).
+    by one lookup in masks built once per search (module docstring). In the
+    local setting a coverage check over the same masks skips every size
+    that cannot win, so the walk runs only from the first size that can.
 
     ``r_max`` is |S_v| - 1 when v already reaches every terminal and the
     terminal count otherwise (direct edges always fit in that size), so a
-    none-result is exact unless ``budget``, the cap on examined candidate
-    sets, ran out; exhausting it can only downgrade a none-result to inexact,
-    never flip a verdict.
+    none-result is exact unless ``budget``, the cap on ``states_examined``
+    (:class:`SearchOutcome`), ran out; exhausting it can only downgrade a
+    none-result to inexact, never flip a verdict.
     """
     _require_node(host, v)
     index = _realized_index(s, host)
@@ -583,15 +645,40 @@ def find_improving_response(
             start_arrival.get(edge.v, _INF) <= label
         ):
             start_improving |= 1 << i
-    # Read only by inner states; the adjacency is over O only.
-    if r_max >= 2:
-        adjacency = _adjacency(others)
-        since = _since_table(host.nodes, candidates, (0, *masks))
+    since = None
+    gains = None
+    if s.setting is Setting.LOCAL:
+        # The union lemma: an own edge (v, b, L) adds ``masks[L][b]`` to what
+        # the others' edges reach. Equal gains merge and a gain that another
+        # contains is dropped; the largest come first.
+        gains = []
+        for gain in sorted(
+            {masks[edge.label][edge.other(v)] & ~start_reached for edge in candidates},
+            key=int.bit_count,
+            reverse=True,
+        ):
+            if gain and all(gain & kept != gain for kept in gains):
+                gains.append(gain)
     examined = 0
     for r in range(1, r_max + 1):
         # (unreached, r) < current exactly when at least ``need`` terminals
         # are reached.
         need = k - current_unreached + (r >= e0)
+        if gains is not None:
+            # A pass that no r own edges can win is skipped (module docstring).
+            covered, examined = _covers(
+                gains, r, need - start_reached.bit_count(), examined, budget
+            )
+            if budget is not None and examined > budget:
+                return SearchOutcome(
+                    response=None, exact=False, states_examined=examined
+                )
+            if not covered:
+                continue
+        if r >= 2 and since is None:
+            # Read only by inner states; the adjacency is over O only.
+            adjacency = _adjacency(others)
+            since = _since_table(host.nodes, candidates, (0, *masks))
         # States are sets of candidate indices, keyed as bitmasks.
         visited: set[int] = set()
         # Frames: (chosen edges, their key, their arrival map, its improving
@@ -661,12 +748,12 @@ def is_nash_equilibrium(
     and are skipped; buyers run the exact improving-response search over
     responses of at most |S_v| - 1 edges. The verdict is inconclusive only
     if some agent's search hit the budget and no other agent was refuted
-    outright.
+    outright; its report then names those agents.
     """
     index = _realized_index(s, host)
     bits, full, masks = index.bits, index.full, index.masks
     examined_total = 0
-    inconclusive = False
+    exhausted: list[NodeId] = []
     for v in host.nodes:
         if masks[v] != full:
             # Add a direct edge to the first terminal that v misses.
@@ -692,10 +779,12 @@ def is_nash_equilibrium(
                 states_examined=examined_total,
             )
         if not outcome.exact:
-            inconclusive = True
-    if inconclusive:
+            exhausted.append(v)
+    if exhausted:
         return VerificationReport(
-            verdict=Verdict.INCONCLUSIVE, states_examined=examined_total
+            verdict=Verdict.INCONCLUSIVE,
+            states_examined=examined_total,
+            exhausted=tuple(exhausted),
         )
     return VerificationReport(
         verdict=Verdict.EQUILIBRIUM,

@@ -342,6 +342,23 @@ def oracle_find_improving_response(v, s, host, budget=None):
     return SearchOutcome(response=None, exact=True, states_examined=examined)
 
 
+def assert_matches_the_unbudgeted_oracle(got, want, budget):
+    """Check a local-setting search outcome ``got`` against ``want``, the
+    oracle's outcome without a budget.
+
+    A local search decides each pass by a coverage check and counts its
+    units, not the oracle's states, so only answers are compared: without a
+    budget the same response, exactly; with one, a found response is the
+    oracle's and an exact none means the oracle finds none.
+    """
+    if budget is None:
+        assert (got.response, got.exact) == (want.response, True)
+    elif got.response is not None:
+        assert got.response == want.response
+    elif got.exact:
+        assert want.response is None
+
+
 def oracle_sweep_ownership(host, target, mode, budget=None):
     """The ownership sweep as first written: a full ``is_nash_equilibrium``
     for every assignment that survives the needer pre-filter, with no memo.

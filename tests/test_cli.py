@@ -167,7 +167,7 @@ def test_verify_equilibrium_exits_0(runner, tmp_path):
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["verdict"] == "equilibrium"
-    assert "witness" not in data
+    assert "witness" not in data and "exhausted" not in data
     assert "lifetime_density" in data["certificates"]
 
 
@@ -209,6 +209,29 @@ def test_verify_budget_can_be_inconclusive(runner, tmp_path):
     result = invoke(runner, "verify", str(path), "--budget", "1")
     assert result.exit_code == 2
     assert json.loads(result.output)["verdict"] == "inconclusive"
+
+
+def test_an_inconclusive_verdict_names_the_agents_whose_budget_ran_out(
+    runner, tmp_path
+):
+    path = gen_file(runner, tmp_path, "dense.json", "dense-cycle", "--x", "4")
+    result = invoke(runner, "verify", str(path), "--budget", "5000")
+    assert result.exit_code == 2
+    data = json.loads(result.stdout)
+    # The report fields other than the new one are as they were.
+    assert set(data) == {"verdict", "states_examined", "exhausted"}
+    assert (data["verdict"], data["states_examined"]) == ("inconclusive", 97_408)
+    assert "v00.00" in data["exhausted"]
+    order = loads_instance(path.read_text(encoding="utf-8")).host.nodes
+    assert data["exhausted"] == sorted(data["exhausted"], key=order.index)
+
+    result = invoke(runner, "verify", str(path), "--budget", "5000", "--format", "csv")
+    assert result.exit_code == 2
+    rows = list(csv.reader(io.StringIO(result.stdout)))
+    assert rows[0] == ["verdict", "witness_agent", "witness_strategy", "states_examined"]
+    assert rows[1][:3] == ["inconclusive", "", "[]"]
+    assert result.stderr.startswith("budget ran out for: ")
+    assert "v00.00" in result.stderr
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -39,7 +39,7 @@ from tempo_ncg import (
     validate_and_normalize_host,
 )
 import tempo_ncg.game
-from oracles import oracle_find_improving_response
+from oracles import assert_matches_the_unbudgeted_oracle, oracle_find_improving_response
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 from tempo_ncg.game import SearchOutcome, _others_groups, _realized_index
 
@@ -351,6 +351,15 @@ def _lowest_recursion_limit():
         return limit
 
 
+def _search_under_a_low_recursion_limit(v, profile, host):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_lowest_recursion_limit() + 8)
+    try:
+        return find_improving_response(v, profile, host)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 def test_search_depth_does_not_depend_on_the_recursion_limit():
     nodes = [f"n{i:02d}" for i in range(12)]
     host = make_host(nodes, {}, 1, nodes)
@@ -359,13 +368,29 @@ def test_search_depth_does_not_depend_on_the_recursion_limit():
         setting=Setting.LOCAL,
         strategies={v: frozenset(edge(v, t, 1) for t in nodes[1:])},
     )
-    # Every direct edge is needed, so the search runs through depth 10.
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(_lowest_recursion_limit() + 8)
-    try:
-        outcome = find_improving_response(v, profile, host)
-    finally:
-        sys.setrecursionlimit(saved)
+    outcome = _search_under_a_low_recursion_limit(v, profile, host)
+    assert outcome.response is None
+    assert outcome.exact
+    # Each own edge adds one terminal and v needs all 11, so the coverage
+    # check of each pass r = 1..10 prunes at its root: one unit per pass.
+    assert outcome.states_examined == 10
+
+
+def test_global_walk_depth_does_not_depend_on_the_recursion_limit():
+    # The global twin of the local star above. The star edges carry label 2
+    # and every other pair label 1, which no walk can take after a star
+    # edge, so only the 11 star edges ever improve a map. Every one is
+    # needed, so the walk runs through depth 10, one state per subset of
+    # each pass.
+    nodes = [f"n{i:02d}" for i in range(12)]
+    v = nodes[0]
+    star = {(v, t): 2 for t in nodes[1:]}
+    host = make_host(nodes, star, 1, nodes)
+    profile = StrategyProfile(
+        setting=Setting.GLOBAL,
+        strategies={v: frozenset(edge(v, t, 2) for t in nodes[1:])},
+    )
+    outcome = _search_under_a_low_recursion_limit(v, profile, host)
     assert outcome.response is None
     assert outcome.exact
     assert outcome.states_examined == sum(
@@ -376,24 +401,46 @@ def test_search_depth_does_not_depend_on_the_recursion_limit():
 @pytest.mark.parametrize("budget", [None, 1, 100])
 def test_deep_searches_match_the_recursive_oracle_on_the_4_cube(budget):
     # Agents buying 3 or 4 edges search to depth 2 and 3 on a 16-node host.
+    # The profile is local, so the coverage check decides each pass and
+    # counts its own units; the oracle is asked without a budget.
     host, profile = hypercube_equilibrium(4)
     for v in host.nodes:
         got = find_improving_response(v, profile, host, budget=budget)
-        want = oracle_find_improving_response(v, profile, host, budget=budget)
-        assert (got.response, got.exact, got.states_examined) == (
-            want.response,
-            want.exact,
-            want.states_examined,
-        )
+        want = oracle_find_improving_response(v, profile, host)
+        assert_matches_the_unbudgeted_oracle(got, want, budget)
+
+
+def test_a_local_pass_whose_covers_all_overlap_is_walked():
+    # From b1, the other agents' edges reach t1, t2 and t3; from b2, t3, t4
+    # and t5 (b1's edge to t3 comes after b2's, so neither passes on). No
+    # node reaches all five, and every 2-edge cover joins two gains that
+    # share t3, so the coverage check of pass 2 must keep both.
+    nodes = ["b1", "b2", "t1", "t2", "t3", "t4", "t5", "v"]
+    bought = {("b1", "t1"): 2, ("b1", "t2"): 2, ("b1", "t3"): 3,
+              ("b2", "t3"): 2, ("b2", "t4"): 2, ("b2", "t5"): 2}
+    host = make_host(nodes, bought, 1, ["t1", "t2", "t3", "t4", "t5"])
+    strategies = {
+        b: frozenset(edge(x, y, label) for (x, y), label in bought.items() if x == b)
+        for b in ("b1", "b2")
+    }
+    strategies["v"] = frozenset(
+        {edge("b1", "v", 1), edge("t4", "v", 1), edge("t5", "v", 1)}
+    )
+    profile = StrategyProfile(setting=Setting.LOCAL, strategies=strategies)
+    got = find_improving_response("v", profile, host)
+    assert got.exact and len(got.response) == 2
+    assert got.response == oracle_find_improving_response("v", profile, host).response
 
 
 def test_nash_check_of_the_5_cube_visits_a_pinned_number_of_states():
-    # The search tries improving extensions in candidate order; a change of
-    # that order changes the count even where the verdict stays.
+    # The profile is local, so each pass is decided by the coverage check
+    # and counted in its branch-and-bound nodes; a change of the gains'
+    # order or of its prunes changes the count even where the verdict stays.
+    # The walk over improving prefixes took 60,667 states.
     host, profile = hypercube_equilibrium(5)
     report = is_nash_equilibrium(profile, host)
     assert report.verdict is Verdict.EQUILIBRIUM
-    assert report.states_examined == 60_667
+    assert report.states_examined == 49
 
 
 def test_dense_cycle_searches_visit_pinned_numbers_of_states():
@@ -410,7 +457,9 @@ def test_deviation_search_propagates_once(monkeypatch):
     v = max(profile.buyers, key=lambda b: len(profile.strategy(b)))
     calls = _record_calls(monkeypatch, "propagate_arrivals")
     outcome = find_improving_response(v, profile, host)
-    assert outcome.states_examined > 1
+    # The coverage check prunes each pass r = 1..|S_v| - 1 at its root, one
+    # unit each, and adds no sweep.
+    assert outcome == SearchOutcome(None, True, len(profile.strategy(v)) - 1)
     # The current strategy is priced by the index's reach masks; the one
     # sweep, over the other agents' edges, prices the empty response and
     # starts the search. A sweep pricing the current strategy made two.
@@ -483,6 +532,24 @@ def test_budget_never_flips_a_verdict():
             "v3", inst.profile.with_strategy("v3", starved.response), inst.host
         ) < agent_cost("v3", inst.profile, inst.host)
 
+    # Local searches count their coverage checks against the budget too. In
+    # the second profile 0001 also buys the edge 0000 bought towards it, so
+    # 0000 has a witness: dropping its copy.
+    host, profile = hypercube_equilibrium(4)
+    dup = next(e for e in profile.strategy("0000") if e.touches("0001"))
+    redundant = profile.with_strategy("0001", profile.strategy("0001") | {dup})
+    starved_any = False
+    for s in (profile, redundant):
+        for v in host.nodes:
+            starved = find_improving_response(v, s, host, budget=1)
+            want = oracle_find_improving_response(v, s, host)
+            assert not starved.exact or starved.response == want.response
+            starved_any |= not starved.exact
+    assert starved_any
+    assert find_improving_response("0000", redundant, host).response == {
+        e for e in redundant.strategy("0000") if e != dup
+    }
+
 
 def test_nash_verdicts_on_fixtures():
     left = fig5_left_instance()
@@ -509,6 +576,15 @@ def test_tiny_budget_reports_inconclusive():
     left = fig5_left_instance()
     report = is_nash_equilibrium(left.profile, left.host, budget=1)
     assert report.verdict is Verdict.INCONCLUSIVE
+    # The report names the buyers whose search ran out, in node order.
+    assert report.exhausted == tuple(
+        v
+        for v in left.host.nodes
+        if v in left.profile.strategies
+        and not find_improving_response(v, left.profile, left.host, budget=1).exact
+    )
+    assert report.exhausted
+    assert is_nash_equilibrium(left.profile, left.host).exhausted == ()
 
 
 # --- dynamics -----------------------------------------------------------------

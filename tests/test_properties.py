@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    assert_matches_the_unbudgeted_oracle,
     brute_force_arrivals,
     naive_min_spanner,
     oracle_cost,
@@ -474,14 +475,43 @@ def search_cases(draw):
 def test_deviation_search_matches_the_recursive_oracle(case):
     host, profile = case
     for agent in host.nodes:
+        unbudgeted = oracle_find_improving_response(agent, profile, host)
         for budget in (None, 1, 3, 17):
             got = find_improving_response(agent, profile, host, budget=budget)
+            if profile.setting is Setting.LOCAL:
+                assert_matches_the_unbudgeted_oracle(got, unbudgeted, budget)
+                continue
             want = oracle_find_improving_response(agent, profile, host, budget=budget)
             assert (got.response, got.exact, got.states_examined) == (
                 want.response,
                 want.exact,
                 want.states_examined,
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases(), st.data())
+def test_a_local_strategy_reaches_the_union_of_its_edges_masks(case, data):
+    """The union lemma: what ``v`` reaches with own edges that all touch it
+    is what the other agents' edges reach from ``v``, plus, for each own edge
+    (v, b, L), what they reach from ``b`` leaving at L or later. The others'
+    edges come from profiles of either setting."""
+    host, profile = case
+    bits = terminal_bits(host.nodes, host.terminals)
+    for v in host.nodes:
+        others = oracle_other_edges(profile, v)
+        incident = [e for e in host.time_edges() if e.touches(v)]
+        own = data.draw(
+            st.sets(st.sampled_from(incident)) if incident else st.just(set()),
+            label=f"own of {v}",
+        )
+        groups = group_by_label(others)
+        masks = label_reach_masks(groups, bits, {e.label for e in own})
+        union = _reached_bits(propagate_arrivals(groups, v)[0], bits)
+        for e in own:
+            union |= masks[e.label][e.other(v)]
+        reached, _ = propagate_arrivals(group_by_label(others | own), v)
+        assert union == _reached_bits(reached, bits)
 
 
 @settings(max_examples=100, deadline=None)
