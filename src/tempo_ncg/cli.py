@@ -203,11 +203,14 @@ _EXIT_BY_VERDICT = {
               default="json", show_default=True)
 def verify(instance, kind, budget, fmt) -> None:
     """Verify the instance's profile; exit 0/1/2 = holds/refuted/inconclusive."""
+    nash = EquilibriumKind(kind) is EquilibriumKind.NASH
     if budget is not None and budget < 1:
         _fail_usage("search budgets must be positive")
+    if budget is not None and not nash:
+        _fail_usage("--budget applies to --kind ne only")
     inst = _load_or_die(instance)
     profile = _require_profile(inst)
-    if EquilibriumKind(kind) is EquilibriumKind.NASH:
+    if nash:
         report = is_nash_equilibrium(profile, inst.host, budget=budget)
     else:
         report = is_greedy_equilibrium(profile, inst.host)

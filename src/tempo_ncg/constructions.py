@@ -259,7 +259,6 @@ def extend_with_terminal(
             the construction fails (flagging a broken input equilibrium), or
             the output fails greedy re-verification.
     """
-    s.validate(host)
     graph = realized_graph(s, host)
     if graph.time_edge_count == 0:
         raise PreconditionFailed("cannot extend an empty realized graph")
@@ -454,14 +453,11 @@ def hypercube_equilibrium(d: int) -> tuple[HostGraph, StrategyProfile]:
     """
     if d < 1:
         raise PreconditionFailed(f"need d >= 1, got {d}")
-    host, profile = _k2_instance(Setting.LOCAL)
-    base_host, base_profile = _k2_instance(Setting.LOCAL)
+    base_host, base_profile = host, profile = _k2_instance(Setting.LOCAL)
     for _ in range(1, d):
         host, profile = graph_product(host, profile, base_host, base_profile)
-        mapping: dict[NodeId, NodeId] = {}
-        for node in host.nodes:
-            parts = ProductNodeId.parse(node)
-            mapping[node] = parts.left + parts.right
+        # Factor ids never hold the separator, so dropping it joins them.
+        mapping = {node: node.replace(PRODUCT_SEPARATOR, "") for node in host.nodes}
         host, profile = relabel_instance(host, profile, mapping)
     return host, profile
 
@@ -536,27 +532,6 @@ def _dense_cycle_graphs(x: int) -> tuple[list[NodeId], list[TimeEdge], list[list
     return nodes, cycle_edges, bag_paths
 
 
-def _follow_labels(
-    graph: TemporalGraph, start: NodeId, labels: Iterable[int]
-) -> list[TimeEdge]:
-    """Walk from ``start`` taking the unique incident edge per label."""
-    path = []
-    at = start
-    for label in labels:
-        nxt = [
-            e
-            for e in graph.time_edges()
-            if e.label == label and e.touches(at)
-        ]
-        if len(nxt) != 1:
-            raise PreconditionFailed(
-                f"expected exactly one label-{label} edge at {at!r}, got {len(nxt)}"
-            )
-        path.append(nxt[0])
-        at = nxt[0].other(at)
-    return path
-
-
 def dense_cycle_instance(x: int) -> DenseCycleInstance:
     """Dense-cycle host, equilibrium profile, and both underlying graphs.
 
@@ -585,13 +560,19 @@ def dense_cycle_instance(x: int) -> DenseCycleInstance:
         if (a, b) not in known_pairs:
             host_edges.append(TimeEdge(a, b, x + 2))
     host = HostGraph(graph=TemporalGraph(nodes, host_edges), terminals=nodes)
+    # Each plain node's forward path takes the one edge per label at its end.
+    step = {(end, e.label): e for e in cycle_edges for end in e.pair}
+    if len(step) < 2 * len(cycle_edges):
+        raise PreconditionFailed("a cycle node has two edges with one label")
     strategies: dict[NodeId, frozenset[TimeEdge]] = {}
     for i in range(bags):
         for j in range(half):
-            plain = DenseCycleParams(x, i, j, primed=False).node_id()
-            strategies[plain] = frozenset(
-                _follow_labels(cycle_graph, plain, range(1, x + 1))
-            )
+            at = plain = DenseCycleParams(x, i, j, primed=False).node_id()
+            path = []
+            for label in range(1, x + 1):
+                path.append(step[at, label])
+                at = path[-1].other(at)
+            strategies[plain] = frozenset(path)
         first_primed = DenseCycleParams(x, i, 0, primed=True).node_id()
         strategies[first_primed] = frozenset(bag_paths[(i + x) % bags])
     profile = StrategyProfile(setting=Setting.GLOBAL, strategies=strategies)

@@ -333,15 +333,17 @@ def validate_and_normalize_host(
         IncompleteHost: some node pair carries no label.
     """
     terminal_tuple = HostGraph(graph=raw, terminals=tuple(terminals)).terminals
-    nodes = raw.nodes
+    nodes, by_pair = raw.nodes, raw._labels
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
-            if not raw.labels(a, b):
+            if (a, b) not in by_pair:
                 raise IncompleteHost(f"pair ({a!r}, {b!r}) has no time label")
-    distinct = sorted({edge.label for edge in raw.time_edges()})
+    distinct = sorted({label for labels in by_pair.values() for label in labels})
     rank = {label: i + 1 for i, label in enumerate(distinct)}
-    normalized = TemporalGraph(
-        nodes, (TimeEdge(e.u, e.v, rank[e.label]) for e in raw.time_edges())
+    # Ranks keep each pair's labels sorted and distinct; the pairs stay canonical.
+    normalized = TemporalGraph._from_labels(
+        nodes,
+        {pair: tuple(rank[label] for label in labels) for pair, labels in by_pair.items()},
     )
     return HostGraph(graph=normalized, terminals=terminal_tuple)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -79,7 +80,7 @@ def _verify_chunk(
     host: HostGraph,
     setting: Setting,
     edges: tuple[TimeEdge, ...],
-    owner_tuples: list[tuple[NodeId, ...]],
+    owner_tuples: Iterable[tuple[NodeId, ...]],
 ) -> list[StrategyProfile]:
     """The equilibria among ``owner_tuples``, in order.
 
@@ -118,9 +119,11 @@ def sweep_ownership(
     """Enumerate and exactly verify all ownerships of ``target``'s edges.
 
     Results are deterministic and canonical regardless of ``workers``; chunks
-    are merged in enumeration order. At most one process per chunk and per
-    CPU is started, however large ``workers`` is, and the survivors are cut
-    into about four chunks per process started.
+    are merged in enumeration order. With one worker the surviving
+    assignments are streamed, so memory does not grow with their number.
+    With more, they are listed in full before being cut into about four
+    chunks per process started; at most one process per chunk and per CPU is
+    started, however large ``workers`` is.
 
     Raises:
         PreconditionFailed: the target's nodes are not the host's, as they
@@ -152,10 +155,11 @@ def sweep_ownership(
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
     if budget is not None and survivors > budget:
         raise SearchTooLarge(f"{survivors} surviving assignments exceed {budget}")
-    owner_tuples = list(itertools.product(*choices))
-    if workers <= 1 or len(owner_tuples) < 4:
-        equilibria = tuple(_verify_chunk(host, mode, edges, owner_tuples))
+    assignments = itertools.product(*choices)
+    if workers <= 1 or survivors < 4:
+        equilibria = tuple(_verify_chunk(host, mode, edges, assignments))
     else:
+        owner_tuples = list(assignments)
         # A fork-started pool starts every worker at once: cap them by the
         # CPUs, then cut about four chunks per process and cap by the chunks.
         processes = min(workers, os.cpu_count() or 1)

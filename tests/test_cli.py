@@ -1,5 +1,6 @@
 """Command line behavior: families, verdict exit codes, tables."""
 
+import copy
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tempo_ncg import (
     InstanceFile,
@@ -250,6 +252,18 @@ def test_verify_greedy_kind(runner, tmp_path):
     assert result.exit_code == 0
 
 
+def test_verify_greedy_kind_rejects_a_budget_before_loading(runner, tmp_path):
+    # The greedy check takes no budget, so one given is not silently ignored.
+    path = tmp_path / "broken.json"
+    path.write_text("{", encoding="utf-8")
+    result = invoke(runner, "verify", str(path), "--kind", "ge", "--budget", "10")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "--kind ne only" in result.stderr
+    assert "cannot load" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_verify_csv_format(runner, tmp_path):
     path = gen_file(runner, tmp_path, "left.json", "fig5-left")
     result = invoke(runner, "verify", str(path), "--format", "csv")
@@ -303,6 +317,69 @@ def test_verify_boolean_or_non_string_field_exits_2(runner, tmp_path, path, valu
     result = invoke(runner, "verify", str(bad))
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ")
+
+
+def _json_paths(value, path=()):
+    """The path to every value below the root of a JSON tree."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield (*path, key)
+        yield from _json_paths(child, (*path, key))
+
+
+FIG4_DATA = json.loads(dumps_instance(get_fixture("fig4")))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZED_COMMANDS = (
+    ("verify",),
+    ("verify", "--kind", "ge"),
+    ("optimum",),
+    ("poa",),
+    ("dynamics",),
+    ("sweep", "--mode", "local"),
+    ("sweep", "--mode", "global"),
+)
+
+
+@st.composite
+def fig4_mutants(draw):
+    """fig4's instance JSON with one value replaced or one key dropped."""
+    data = copy.deepcopy(FIG4_DATA)
+    *parents, last = draw(st.sampled_from(list(_json_paths(data))))
+    target = data
+    for key in parents:
+        target = target[key]
+    if isinstance(target, dict) and draw(st.booleans()):
+        del target[last]
+    else:
+        target[last] = draw(JSON_VALUES)
+    return data
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=fig4_mutants())
+def test_a_mutated_instance_exits_0_1_or_2_without_a_traceback(runner, tmp_path, data):
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command, *options in FUZZED_COMMANDS:
+        result = invoke(runner, command, str(path), *options)
+        assert result.exit_code in (0, 1, 2), (command, options, result.output)
+        assert result.exception is None or isinstance(
+            result.exception, SystemExit
+        ), (command, options, repr(result.exception))
 
 
 # -- sweep --------------------------------------------------------------------

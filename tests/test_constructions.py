@@ -516,6 +516,20 @@ def test_dense_cycle_rejects_odd_or_tiny_x():
         dense_cycle_instance(0)
 
 
+def test_dense_cycle_refuses_two_cycle_edges_with_one_label_at_a_node(monkeypatch):
+    build = constructions._dense_cycle_graphs
+
+    def doubled(x):
+        nodes, cycle_edges, bag_paths = build(x)
+        first = cycle_edges[0]
+        spare = next(n for n in nodes if n not in first.pair)
+        return nodes, [*cycle_edges, TimeEdge(first.u, spare, first.label)], bag_paths
+
+    monkeypatch.setattr(constructions, "_dense_cycle_graphs", doubled)
+    with pytest.raises(PreconditionFailed, match="two edges with one label"):
+        dense_cycle_instance(2)
+
+
 def test_dense_cycle_lemma_checks_smallest():
     checks = dense_cycle_lemma_checks(2)
     assert checks.all_ok
@@ -680,6 +694,26 @@ def _construction_inputs():
             yield name, host, lifetime2_tree_ne(host)
 
 
+def _dense_case(x):
+    inst = dense_cycle_instance(x)
+    return inst.host, inst.profile
+
+
+def _random_host_cases():
+    """Seeded ``random_host`` draws over sizes, terminal counts, label caps and
+    extra-label chances, each named by its parameters."""
+    for max_label in (None, 2, 3):
+        for extra_label_prob in (0.0, 0.3):
+            for seed in range(30):
+                n = 1 + seed % 12
+                k = 1 + (7 * seed) % n
+                name = f"random-n{n}-k{k}-cap{max_label}-p{extra_label_prob}-s{seed}"
+                yield name, lambda n=n, k=k, seed=seed, m=max_label, p=extra_label_prob: (
+                    random_host(n, k, seed, max_label=m, extra_label_prob=p),
+                    None,
+                )
+
+
 def _digest(cases):
     """sha256 over each case's instance file, or over its refusal."""
     text = []
@@ -705,6 +739,15 @@ CONSTRUCTION_DIGESTS = {
     ),
     "lifetime2_tree_ne": (
         "8208e3271ff4ee352dba482353df6e023e4da022163d98ecb6a9307f870ddc98"
+    ),
+    "dense_cycle_instance": (
+        "dfcb223f7de5dd1d592f6eac51c57c2b09869f834fe57fe23d6b1c054096eb94"
+    ),
+    "hypercube_equilibrium": (
+        "04a5979103c35770e3d3214c3c17030e0c20a7c91b8a8257dba476176789515c"
+    ),
+    "random_host": (
+        "b0f4c13b5547b44f74d3a1b837cc873f760664d8e2195cbdfe0cf864fc9055fc"
     ),
 }
 
@@ -734,5 +777,12 @@ def test_construction_outputs_are_pinned():
             (name, lambda h=host: (h, lifetime2_tree_ne(h)))
             for name, host in _lifetime2_hosts()
         ),
+        "dense_cycle_instance": _digest(
+            (f"dense{x}", lambda x=x: _dense_case(x)) for x in (2, 4, 6)
+        ),
+        "hypercube_equilibrium": _digest(
+            (f"cube{d}", lambda d=d: hypercube_equilibrium(d)) for d in (1, 2, 3, 4)
+        ),
+        "random_host": _digest(_random_host_cases()),
     }
     assert digests == CONSTRUCTION_DIGESTS

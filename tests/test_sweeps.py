@@ -269,6 +269,24 @@ def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
     assert received == [[2] * 8]
 
 
+def test_serial_sweep_streams_its_assignments(monkeypatch):
+    # A listed space would hold every survivor in memory before the first check.
+    handed = []
+    verify = tempo_ncg.sweeps._verify_chunk
+
+    def spy(host, setting, edges, owner_tuples):
+        handed.append(owner_tuples)
+        return verify(host, setting, edges, owner_tuples)
+
+    monkeypatch.setattr(tempo_ncg.sweeps, "_verify_chunk", spy)
+    host = all_ones_host(["a", "b", "c", "d", "v"])
+    result = sweep_ownership(host, star_target(host, "v"), Setting.LOCAL, workers=1)
+    assert result.survivors == 16
+    assert len(handed) == 1
+    assert not isinstance(handed[0], (list, tuple))
+    assert iter(handed[0]) is handed[0]
+
+
 # -- whole-space search ------------------------------------------------------
 
 
