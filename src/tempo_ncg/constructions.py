@@ -25,7 +25,6 @@ from .core import (
     connected_components,
     group_by_label,
     is_terminal_spanner,
-    kruskal,
     label_reach_masks,
     propagate_arrivals,
     terminal_bits,
@@ -265,8 +264,8 @@ def extend_with_terminal(
     realized_top = graph.lifetime
     top_pairs = [p for p in graph.pairs() if realized_top in graph.labels(*p)]
     forest_nodes = sorted({n for p in top_pairs for n in p})
-    joined, components = kruskal(forest_nodes, top_pairs)
-    if not all(joined):
+    components = connected_components(forest_nodes, top_pairs)
+    if len(top_pairs) != len(forest_nodes) - len(components):  # not a forest
         raise PreconditionFailed(
             "latest-label realized edges contain a cycle; "
             "input is not an equilibrium"

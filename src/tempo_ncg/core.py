@@ -30,7 +30,7 @@ because pairs stay canonical and every label was checked on the way in.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator, Mapping, Reversible
+from collections.abc import Callable, Iterable, Iterator, Mapping, Reversible, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -502,11 +502,11 @@ def reach_set(graph: TemporalGraph, source: NodeId) -> frozenset[NodeId]:
 
 def kruskal(
     nodes: Iterable[NodeId], pairs: Iterable[tuple[NodeId, NodeId]]
-) -> tuple[list[bool], list[frozenset[NodeId]]]:
-    """One union-find pass over ``pairs`` in the given order.
-
-    Returns whether each pair joined two components (the kept edges of a
-    spanning forest) and the components, sorted by smallest member.
+) -> tuple[list[tuple[NodeId, NodeId]], Callable[[NodeId], NodeId]]:
+    """One union-find pass over ``pairs`` in order: the pairs that joined two
+    components (a spanning forest) and ``find``, from a node to its
+    component's root. Reading stops at the (n - 1)-th join, after which no
+    pair can join.
     """
     parent: dict[NodeId, NodeId] = {n: n for n in nodes}
 
@@ -519,19 +519,23 @@ def kruskal(
     kept = []
     for u, v in pairs:
         ru, rv = find(u), find(v)
-        kept.append(ru != rv)
-        parent[ru] = rv  # a no-op when ru == rv
-    groups: dict[NodeId, set[NodeId]] = {}
-    for n in parent:
-        groups.setdefault(find(n), set()).add(n)
-    return kept, sorted((frozenset(g) for g in groups.values()), key=min)
+        if ru != rv:
+            parent[ru] = rv
+            kept.append((u, v))
+            if len(kept) == len(parent) - 1:
+                break
+    return kept, find
 
 
 def connected_components(
-    nodes: Iterable[NodeId], pairs: Iterable[tuple[NodeId, NodeId]]
+    nodes: Sequence[NodeId], pairs: Iterable[tuple[NodeId, NodeId]]
 ) -> list[frozenset[NodeId]]:
     """Static (label-blind) connected components, sorted by smallest member."""
-    return kruskal(nodes, pairs)[1]
+    _, find = kruskal(nodes, pairs)
+    components: dict[NodeId, set[NodeId]] = {}
+    for n in nodes:
+        components.setdefault(find(n), set()).add(n)
+    return sorted(map(frozenset, components.values()), key=min)
 
 
 def _check_terminals(graph: TemporalGraph, terminals: Iterable[NodeId]) -> frozenset[NodeId]:

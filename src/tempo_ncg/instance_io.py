@@ -9,7 +9,8 @@ node ids containing the reserved "|" separator. parse and emit are mutually
 inverse on canonical files.
 
 Each label is validated once, as it is read, and the host graph is built
-from the checked pairs by the trusted ``TemporalGraph._from_labels``.
+from the checked pairs by the trusted ``TemporalGraph._from_labels``; the
+pairs are sorted only when the file lists them out of canonical order.
 """
 
 from __future__ import annotations
@@ -146,7 +147,9 @@ def instance_from_dict(data: dict) -> InstanceFile:
                 listed[(u, v)] = (default_label,)
     if "" in node_set:
         raise UnknownNode("node ids must be nonempty strings, got ''")
-    graph = TemporalGraph._from_labels(sorted_nodes, dict(sorted(listed.items())))
+    if list(listed) != sorted(listed):
+        listed = dict(sorted(listed.items()))
+    graph = TemporalGraph._from_labels(sorted_nodes, listed)
     host = HostGraph(graph=graph, terminals=tuple(terminals))
     profile = None
     profile_data = data.get("profile")

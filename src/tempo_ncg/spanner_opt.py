@@ -6,7 +6,7 @@ Every terminal spanner needs at least n - 1 time edges, because each node
 must be statically connected to the terminals. A spanning tree on a single
 label matches that bound whenever one exists (inside one label group,
 arrivals chain transitively), which settles many instances without any
-enumeration; only label groups of at least n - 1 edges are tried. The rest
+enumeration; only labels with n - 1 or more host pairs are tried. The rest
 take the first spanner from :func:`terminal_spanners`, the one budgeted
 subset enumeration (``sweeps.find_nash_by_search`` walks it too), which
 skips the subsets that provably cannot span and yields the same spanners,
@@ -66,18 +66,20 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
     Such a tree is a terminal spanner with exactly n - 1 time edges (within
     one label group every node reaches every other), meeting the universal
     lower bound; its existence settles the optimum without enumeration. Scans
-    labels ascending and runs Kruskal only on groups of at least n - 1 edges
-    (a shorter one cannot connect V); the pass keeps n - 1 edges (the
-    canonical tree) exactly when the label connects V.
+    the labels of the host's pair -> labels map ascending, building no time
+    edge, and runs Kruskal on each group of at least n - 1 pairs; it joins
+    n - 1 of them (the canonical tree) exactly when the label connects V.
     """
     need = host.node_count - 1
-    for _, edges in host.graph.label_groups():
-        if len(edges) < need:
-            continue
-        joined, _ = kruskal(host.nodes, (e.pair for e in edges))
-        kept = list(itertools.compress(edges, joined))
-        if len(kept) == need:
-            return TemporalGraph(host.nodes, kept)
+    by_label: dict[int, list[tuple[NodeId, NodeId]]] = {}
+    for pair, labels in host.graph._labels.items():
+        for label in labels:
+            by_label.setdefault(label, []).append(pair)
+    for label, pairs in sorted(by_label.items()):
+        if len(pairs) >= need:
+            kept, _ = kruskal(host.nodes, pairs)
+            if len(kept) == need:
+                return TemporalGraph._from_labels(host.nodes, dict.fromkeys(kept, (label,)))
     return None
 
 

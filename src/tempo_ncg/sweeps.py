@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -121,8 +121,9 @@ def sweep_ownership(
     Results are deterministic and canonical regardless of ``workers``; chunks
     are merged in enumeration order. With one worker the surviving
     assignments are streamed, so memory does not grow with their number.
-    With more, they are listed in full before being cut into about four
-    chunks per process started; at most one process per chunk and per CPU is
+    With more, they are cut lazily into about four chunks per process
+    started, and at most two chunks per process are held unmerged (about
+    half the survivors); at most one process per chunk and per CPU is
     started, however large ``workers`` is.
 
     Raises:
@@ -159,25 +160,22 @@ def sweep_ownership(
     if workers <= 1 or survivors < 4:
         equilibria = tuple(_verify_chunk(host, mode, edges, assignments))
     else:
-        owner_tuples = list(assignments)
         # A fork-started pool starts every worker at once: cap them by the
         # CPUs, then cut about four chunks per process and cap by the chunks.
+        # Chunks are cut as they are submitted, and at most two per process
+        # are held unmerged: the oldest is merged before the next is cut.
         processes = min(workers, os.cpu_count() or 1)
-        chunk_size = max(1, len(owner_tuples) // (processes * 4))
-        chunks = [
-            owner_tuples[i : i + chunk_size]
-            for i in range(0, len(owner_tuples), chunk_size)
-        ]
+        chunk_size = max(1, survivors // (processes * 4))
+        chunks = iter(lambda: list(itertools.islice(assignments, chunk_size)), [])
         found: list[StrategyProfile] = []
-        with ProcessPoolExecutor(max_workers=min(processes, len(chunks))) as pool:
-            for result in pool.map(
-                _verify_chunk,
-                itertools.repeat(host),
-                itertools.repeat(mode),
-                itertools.repeat(edges),
-                chunks,
-            ):
-                found.extend(result)
+        pending: list[Future] = []
+        with ProcessPoolExecutor(min(processes, -(-survivors // chunk_size))) as pool:
+            for chunk in chunks:
+                pending.append(pool.submit(_verify_chunk, host, mode, edges, chunk))
+                if len(pending) == 2 * processes:
+                    found.extend(pending.pop(0).result())
+            for future in pending:
+                found.extend(future.result())
         equilibria = tuple(found)
     return SweepResult(
         total_assignments=total, survivors=survivors, equilibria=equilibria

@@ -20,6 +20,7 @@ from tempo_ncg import (
     instance_to_dict,
     load_instance,
     loads_instance,
+    random_host,
     save_instance,
     validate_and_normalize_host,
 )
@@ -117,6 +118,18 @@ def test_default_label_shorthand_collapses_edges():
     assert len(data["host"]["edges"]) < 15
     rebuilt = instance_from_dict(data)
     assert rebuilt.host.graph == inst.host.graph
+
+
+def test_shuffled_edge_keys_parse_to_the_canonical_graph_and_bytes():
+    inst = InstanceFile(name="random", host=random_host(7, 3, seed=2))
+    text = dumps_instance(inst)
+    data = json.loads(text)
+    edges = list(data["host"]["edges"].items())
+    data["host"]["edges"] = dict(edges[1::2] + edges[::-2])
+    parsed = instance_from_dict(data)
+    assert list(parsed.host.graph.pairs()) == list(inst.host.graph.pairs())
+    assert parsed.host.graph == inst.host.graph
+    assert dumps_instance(parsed) == text
 
 
 def test_rejects_unknown_schema_version():

@@ -88,6 +88,67 @@ def test_mono_label_scan_skips_groups_too_short_to_span(monkeypatch):
     assert calls == [1]
 
 
+def test_mono_label_scan_builds_no_label_groups():
+    # The scan reads the host's pair -> labels map: no time edge is built for
+    # the host, only for the returned tree.
+    host = random_host(13, 3, seed=4, max_label=2)
+    tree = mono_label_spanning_tree(host)
+    assert tree is not None
+    assert host.graph._groups is None
+
+
+def test_union_find_reads_no_pair_after_the_last_join(monkeypatch):
+    read = []
+
+    def pairs(listed):
+        for pair in listed:
+            read.append(pair)
+            yield pair
+
+    # The third join, at the fourth pair, spans the four nodes; the two
+    # pairs after it are never read.
+    k4 = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("a", "d"), ("b", "d")]
+    kept, find = kruskal("abcd", pairs(k4))
+    assert kept == [("a", "b"), ("b", "c"), ("c", "d")]
+    assert read == k4[:4]
+    assert len({find(node) for node in "abcd"}) == 1
+    # The one-label scan stops at the tree's last pair too.
+    host = random_host(12, 3, seed=1, max_label=1)
+    read.clear()
+    monkeypatch.setattr(
+        tempo_ncg.spanner_opt, "kruskal", lambda nodes, listed: kruskal(nodes, pairs(listed))
+    )
+    tree = mono_label_spanning_tree(host)
+    assert tree is not None
+    assert read[-1] == max(tree.pairs())
+    assert len(read) < host.graph.static_edge_count
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_mono_label_tree_matches_the_oracle_at_the_benchmark_shape(n):
+    # Two labels: one label class or its complement connects the host.
+    for seed in range(40):
+        host = random_host(n, 3, seed, max_label=2)
+        tree = mono_label_spanning_tree(host)
+        assert tree is not None
+        assert tree == oracles.oracle_mono_label_tree(host), seed
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_mono_label_scan_matches_the_oracle_when_no_label_spans(n):
+    # With labels up to n most hosts have no spanning label class; some of
+    # those still have a label group long enough to be scanned.
+    scanned_in_vain = 0
+    for seed in range(40):
+        host = random_host(n, 3, seed)
+        tree = mono_label_spanning_tree(host)
+        assert tree == oracles.oracle_mono_label_tree(host), seed
+        groups = host.graph.label_groups()
+        if tree is None and any(len(edges) >= n - 1 for _, edges in groups):
+            scanned_in_vain += 1
+    assert scanned_in_vain > 0
+
+
 def test_all_ones_host_optimum_is_spanning_tree():
     host = random_host(4, 4, seed=2, max_label=1)
     best = min_terminal_spanner(host)

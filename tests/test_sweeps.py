@@ -234,15 +234,22 @@ def test_sweep_workers_merge_deterministically():
     assert serial == parallel
 
 
-def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
-    started = []
-    received = []
+def serial_pool(log):
+    """A stand-in for ``ProcessPoolExecutor`` that runs each submitted chunk in
+    this process. It logs the pool size, each chunk's size, and the chunks
+    held (submitted and not yet merged): now and at most."""
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            log["held"] -= 1
+            return self.value
 
     class SerialPool:
-        """Records the pool size and the chunk sizes and maps in this process."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            log["started"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -250,23 +257,47 @@ def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            *fixed, chunks = iterables
-            chunks = list(chunks)
-            received.append([len(chunk) for chunk in chunks])
-            return map(fn, *fixed, chunks)
+        def submit(self, fn, *args):
+            log["chunks"].append(len(args[-1]))
+            log["held"] += 1
+            log["peak"] = max(log["peak"], log["held"])
+            return Done(fn(*args))
 
-    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def new_pool_log():
+    return {"started": [], "chunks": [], "held": 0, "peak": 0}
+
+
+def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
+    log = new_pool_log()
+    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", serial_pool(log))
     monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 2)
     host = all_ones_host(["a", "b", "c", "d", "v"])
     target = star_target(host, "v")
     serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
-    assert started == []
+    assert log["started"] == []
     assert serial.survivors == 16
     # Two processes, so about four chunks each, not one per survivor.
     assert sweep_ownership(host, target, Setting.LOCAL, workers=10_000) == serial
-    assert started == [2]
-    assert received == [[2] * 8]
+    assert log["started"] == [2]
+    assert log["chunks"] == [2] * 8
+
+
+def test_parallel_sweep_holds_no_more_chunks_than_its_window(monkeypatch):
+    # The 16 survivors make eight chunks of two, yet two processes never hold
+    # more than their window of four unmerged chunks.
+    log = new_pool_log()
+    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", serial_pool(log))
+    monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 2)
+    host = all_ones_host(["a", "b", "c", "d", "v"])
+    target = star_target(host, "v")
+    serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
+    assert sweep_ownership(host, target, Setting.LOCAL, workers=2) == serial
+    assert log["chunks"] == [2] * 8
+    assert log["peak"] == 4
+    assert log["held"] == 0
 
 
 def test_serial_sweep_streams_its_assignments(monkeypatch):
