@@ -611,19 +611,20 @@ class DenseCycleChecks:
 def _increasing_paths(
     adjacency: Mapping[NodeId, list[TimeEdge]], start: NodeId
 ) -> Iterator[tuple[NodeId, tuple[TimeEdge, ...]]]:
-    """All simple paths with strictly increasing labels, yielded per prefix."""
-
-    def walk(at: NodeId, seen: frozenset[NodeId], last: int, acc: tuple[TimeEdge, ...]):
-        for e in adjacency[at]:
-            if e.label <= last:
-                continue
+    """All simple paths with strictly increasing labels, yielded per prefix,
+    depth-first. Each stack frame holds the rest of its node's edges."""
+    stack = [(iter(adjacency[start]), start, frozenset({start}), 0, ())]
+    while stack:
+        edges, at, seen, last, path = stack[-1]
+        for e in edges:
             nxt = e.other(at)
-            if nxt in seen:
-                continue
-            yield nxt, (*acc, e)
-            yield from walk(nxt, seen | {nxt}, e.label, (*acc, e))
-
-    yield from walk(start, frozenset({start}), 0, ())
+            if e.label > last and nxt not in seen:
+                grown = (*path, e)
+                yield nxt, grown
+                stack.append((iter(adjacency[nxt]), nxt, seen | {nxt}, e.label, grown))
+                break
+        else:
+            stack.pop()
 
 
 def dense_cycle_lemma_checks(x: int) -> DenseCycleChecks:

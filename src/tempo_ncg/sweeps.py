@@ -18,14 +18,18 @@ target spans, so they already pay the least possible cost (0, 0). One index
 of the target, with no edge bought twice, serves every assignment, and none
 is validated on its own: the sweep checks the target's edges against the
 host, and each owner is an end of its edge (local) or a host node (global).
+
+Each check cuts its assignments as a slice of the lazy product of the
+per-edge owner choices, so no process lists the survivors: a serial sweep
+checks one slice over all of them, and worker processes get slice bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
-from collections.abc import Iterable
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -80,18 +84,21 @@ def _verify_chunk(
     host: HostGraph,
     setting: Setting,
     edges: tuple[TimeEdge, ...],
-    owner_tuples: Iterable[tuple[NodeId, ...]],
+    choices: list[tuple[NodeId, ...]],
+    start: int,
+    size: int,
 ) -> list[StrategyProfile]:
-    """The equilibria among ``owner_tuples``, in order.
+    """The equilibria among assignments ``start`` to ``start + size`` of the
+    lazy product of the per-edge owner ``choices``, in order.
 
     ``edges`` reach every terminal from every host node, so an assignment
     is an equilibrium exactly when no buyer has an improving response
-    (module docstring). Every assignment shares one index of ``edges``.
+    (module docstring). The slice shares one index of ``edges``.
     """
     index = _RealizedIndex.build(host, edges)
     stable: dict[tuple[NodeId, frozenset[TimeEdge]], bool] = {}
     found = []
-    for owners in owner_tuples:
+    for owners in itertools.islice(itertools.product(*choices), start, start + size):
         profile = _profile_from_owners(setting, edges, owners)
         _remember(profile, host, index)
         for agent, own in profile.strategies.items():
@@ -118,13 +125,10 @@ def sweep_ownership(
 ) -> SweepResult:
     """Enumerate and exactly verify all ownerships of ``target``'s edges.
 
-    Results are deterministic and canonical regardless of ``workers``; chunks
-    are merged in enumeration order. With one worker the surviving
-    assignments are streamed, so memory does not grow with their number.
-    With more, they are cut lazily into about four chunks per process
-    started, and at most two chunks per process are held unmerged (about
-    half the survivors); at most one process per chunk and per CPU is
-    started, however large ``workers`` is.
+    Results are deterministic and canonical regardless of ``workers``. One
+    worker, one CPU or fewer than four survivors make one slice (module
+    docstring); more processes, at most one per CPU and per slice, check
+    about four slices each, merged in enumeration order.
 
     Raises:
         PreconditionFailed: the target's nodes are not the host's, as they
@@ -156,27 +160,19 @@ def sweep_ownership(
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
     if budget is not None and survivors > budget:
         raise SearchTooLarge(f"{survivors} surviving assignments exceed {budget}")
-    assignments = itertools.product(*choices)
-    if workers <= 1 or survivors < 4:
-        equilibria = tuple(_verify_chunk(host, mode, edges, assignments))
+    # A fork-started pool starts every worker at once: cap them by the CPUs
+    # and by the slices.
+    processes = min(workers, os.cpu_count() or 1)
+    if processes <= 1 or survivors < 4:
+        equilibria = tuple(_verify_chunk(host, mode, edges, choices, 0, survivors))
     else:
-        # A fork-started pool starts every worker at once: cap them by the
-        # CPUs, then cut about four chunks per process and cap by the chunks.
-        # Chunks are cut as they are submitted, and at most two per process
-        # are held unmerged: the oldest is merged before the next is cut.
-        processes = min(workers, os.cpu_count() or 1)
-        chunk_size = max(1, survivors // (processes * 4))
-        chunks = iter(lambda: list(itertools.islice(assignments, chunk_size)), [])
-        found: list[StrategyProfile] = []
-        pending: list[Future] = []
-        with ProcessPoolExecutor(min(processes, -(-survivors // chunk_size))) as pool:
-            for chunk in chunks:
-                pending.append(pool.submit(_verify_chunk, host, mode, edges, chunk))
-                if len(pending) == 2 * processes:
-                    found.extend(pending.pop(0).result())
-            for future in pending:
-                found.extend(future.result())
-        equilibria = tuple(found)
+        size = max(1, survivors // (processes * 4))
+        starts = range(0, survivors, size)
+        verify = functools.partial(_verify_chunk, host, mode, edges, choices)
+        sizes = [min(size, survivors - start) for start in starts]
+        with ProcessPoolExecutor(min(processes, len(starts))) as pool:
+            found = pool.map(verify, starts, sizes)
+            equilibria = tuple(itertools.chain.from_iterable(found))
     return SweepResult(
         total_assignments=total, survivors=survivors, equilibria=equilibria
     )

@@ -6,17 +6,21 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Seven references are earlier versions of a library routine, kept so a
+Eight references are earlier versions of a library routine, kept so a
 faster or flatter rewrite can be checked against them exactly: the
 restart-loop prune, the one-sweep-per-edge prune, the plain subset loop of
 the spanner search, the recursive deviation search and the per-edge greedy
 loop (these four do use the library's reach kernel), the ownership sweep that
-verifies every assignment in full, and the nested-loop forbidden-structure
-scan.
+verifies every assignment in full, the nested-loop forbidden-structure scan
+and the recursive increasing-path walk of the dense-cycle checks.
+
+``call_under_a_low_recursion_limit`` is no reference: it runs a library call
+where a search that recurses once per step would fail.
 """
 
 import itertools
 import math
+import sys
 
 from tempo_ncg import (
     CostBreakdown,
@@ -163,6 +167,47 @@ def _static_reach(edges, source):
                 seen.add(edge.other(at))
                 stack.append(edge.other(at))
     return seen
+
+
+def oracle_increasing_paths(adjacency, start):
+    """``constructions._increasing_paths`` as first written: one recursive
+    call per path edge, yielding each prefix before its extensions."""
+
+    def walk(at, seen, last, acc):
+        for e in adjacency[at]:
+            if e.label <= last:
+                continue
+            nxt = e.other(at)
+            if nxt in seen:
+                continue
+            yield nxt, (*acc, e)
+            yield from walk(nxt, seen | {nxt}, e.label, (*acc, e))
+
+    yield from walk(start, frozenset({start}), 0, ())
+
+
+def _lowest_recursion_limit():
+    """The smallest recursion limit the interpreter accepts at this depth."""
+    saved = sys.getrecursionlimit()
+    limit = 1
+    while True:
+        try:
+            sys.setrecursionlimit(limit)
+        except RecursionError:
+            limit += 1
+            continue
+        sys.setrecursionlimit(saved)
+        return limit
+
+
+def call_under_a_low_recursion_limit(fn, *args):
+    """``fn(*args)`` with only eight frames to spare above the caller's."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_lowest_recursion_limit() + 8)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def oracle_mono_label_tree(host):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempo_ncg import (
+    DenseCycleChecks,
     DenseCycleParams,
     HostGraph,
     IncompleteHost,
@@ -41,7 +42,11 @@ from tempo_ncg import (
 from tempo_ncg.fixtures import FIXTURE_BUILDERS, fig5_left_instance
 from tempo_ncg import constructions
 
-from oracles import oracle_is_ne
+from oracles import (
+    call_under_a_low_recursion_limit,
+    oracle_increasing_paths,
+    oracle_is_ne,
+)
 
 
 def edge(u, v, label):
@@ -536,6 +541,29 @@ def test_dense_cycle_lemma_checks_smallest():
     assert checks.node_count == 8
     assert checks.cycle_edge_count == 8
     assert checks.connected_edge_count == 12
+
+
+@pytest.mark.parametrize(
+    "x, counts", [(2, (8, 8, 12)), (4, (32, 64, 88)), (6, (72, 216, 276))]
+)
+def test_dense_cycle_path_walk_matches_the_recursive_oracle(x, counts):
+    graph = dense_cycle_instance(x).cycle_graph
+    incident = {n: [] for n in graph.nodes}
+    for e in sorted(graph.time_edges()):
+        incident[e.u].append(e)
+        incident[e.v].append(e)
+    for node in graph.nodes:
+        assert list(constructions._increasing_paths(incident, node)) == list(
+            oracle_increasing_paths(incident, node)
+        )
+    assert dense_cycle_lemma_checks(x) == DenseCycleChecks(x, *counts, *[True] * 5)
+
+
+def test_dense_cycle_lemma_checks_do_not_depend_on_the_recursion_limit():
+    # The x = 10 cycle has temporal paths of 10 edges, past the 8 frames to
+    # spare, so a walk that recursed once per edge would fail here.
+    checks = call_under_a_low_recursion_limit(dense_cycle_lemma_checks, 10)
+    assert checks == DenseCycleChecks(10, 200, 1000, 1180, *[True] * 5)
 
 
 def test_dense_cycle_smallest_profile_is_nash():

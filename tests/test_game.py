@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import sys
 
 import pytest
 
@@ -39,7 +38,11 @@ from tempo_ncg import (
     validate_and_normalize_host,
 )
 import tempo_ncg.game
-from oracles import assert_matches_the_unbudgeted_oracle, oracle_find_improving_response
+from oracles import (
+    assert_matches_the_unbudgeted_oracle,
+    call_under_a_low_recursion_limit,
+    oracle_find_improving_response,
+)
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 from tempo_ncg.game import SearchOutcome, _others_groups, _realized_index
 
@@ -337,29 +340,6 @@ def test_idle_satisfied_agent_is_exact_immediately():
     assert outcome.states_examined == 0
 
 
-def _lowest_recursion_limit():
-    """The smallest recursion limit the interpreter accepts at this depth."""
-    saved = sys.getrecursionlimit()
-    limit = 1
-    while True:
-        try:
-            sys.setrecursionlimit(limit)
-        except RecursionError:
-            limit += 1
-            continue
-        sys.setrecursionlimit(saved)
-        return limit
-
-
-def _search_under_a_low_recursion_limit(v, profile, host):
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(_lowest_recursion_limit() + 8)
-    try:
-        return find_improving_response(v, profile, host)
-    finally:
-        sys.setrecursionlimit(saved)
-
-
 def test_search_depth_does_not_depend_on_the_recursion_limit():
     nodes = [f"n{i:02d}" for i in range(12)]
     host = make_host(nodes, {}, 1, nodes)
@@ -368,7 +348,9 @@ def test_search_depth_does_not_depend_on_the_recursion_limit():
         setting=Setting.LOCAL,
         strategies={v: frozenset(edge(v, t, 1) for t in nodes[1:])},
     )
-    outcome = _search_under_a_low_recursion_limit(v, profile, host)
+    outcome = call_under_a_low_recursion_limit(
+        find_improving_response, v, profile, host
+    )
     assert outcome.response is None
     assert outcome.exact
     # Each own edge adds one terminal and v needs all 11, so the coverage
@@ -390,7 +372,9 @@ def test_global_walk_depth_does_not_depend_on_the_recursion_limit():
         setting=Setting.GLOBAL,
         strategies={v: frozenset(edge(v, t, 2) for t in nodes[1:])},
     )
-    outcome = _search_under_a_low_recursion_limit(v, profile, host)
+    outcome = call_under_a_low_recursion_limit(
+        find_improving_response, v, profile, host
+    )
     assert outcome.response is None
     assert outcome.exact
     assert outcome.states_examined == sum(

@@ -21,8 +21,10 @@ from tempo_ncg import (
     find_improving_response,
     find_nash_by_search,
     is_nash_equilibrium,
+    random_host,
     realized_graph,
     sweep_ownership,
+    two_terminal_ne,
 )
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 
@@ -235,17 +237,8 @@ def test_sweep_workers_merge_deterministically():
 
 
 def serial_pool(log):
-    """A stand-in for ``ProcessPoolExecutor`` that runs each submitted chunk in
-    this process. It logs the pool size, each chunk's size, and the chunks
-    held (submitted and not yet merged): now and at most."""
-
-    class Done:
-        def __init__(self, value):
-            self.value = value
-
-        def result(self):
-            log["held"] -= 1
-            return self.value
+    """A stand-in for ``ProcessPoolExecutor`` that runs each mapped task in
+    this process. It logs the pool size and each task's own arguments."""
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -257,17 +250,16 @@ def serial_pool(log):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            log["chunks"].append(len(args[-1]))
-            log["held"] += 1
-            log["peak"] = max(log["peak"], log["held"])
-            return Done(fn(*args))
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            log["tasks"].extend(tasks)
+            return [fn(*task) for task in tasks]
 
     return SerialPool
 
 
 def new_pool_log():
-    return {"started": [], "chunks": [], "held": 0, "peak": 0}
+    return {"started": [], "tasks": []}
 
 
 def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
@@ -279,43 +271,82 @@ def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
     serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
     assert log["started"] == []
     assert serial.survivors == 16
-    # Two processes, so about four chunks each, not one per survivor.
+    # Two processes, so about four slices each, not one per survivor.
     assert sweep_ownership(host, target, Setting.LOCAL, workers=10_000) == serial
     assert log["started"] == [2]
-    assert log["chunks"] == [2] * 8
+    assert log["tasks"] == [(start, 2) for start in range(0, 16, 2)]
 
 
-def test_parallel_sweep_holds_no_more_chunks_than_its_window(monkeypatch):
-    # The 16 survivors make eight chunks of two, yet two processes never hold
-    # more than their window of four unmerged chunks.
-    log = new_pool_log()
-    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", serial_pool(log))
-    monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 2)
+def sweep_cases():
+    """(host, target, mode) triples whose sweeps have 13 survivor counts, from
+    8 to 300: local stars on 4 to 7 nodes and global two-terminal equilibria."""
+    cases = []
+    for n in (4, 5, 6, 7):
+        host = all_ones_host([f"n{i}" for i in range(n)])
+        cases.append((host, star_target(host, "n0"), Setting.LOCAL))
+    for n, seed in ((5, 5), (5, 9), (6, 2), (7, 0), (7, 2), (7, 3), (7, 7), (7, 9),
+                    (7, 10)):
+        host = random_host(n, 2, seed)
+        cases.append((host, realized_graph(two_terminal_ne(host), host), Setting.GLOBAL))
+    return cases
+
+
+def test_parallel_slices_tile_the_survivors_in_order(monkeypatch):
+    partial_last = 0
+    counts = set()
+    for host, target, mode in sweep_cases():
+        serial = sweep_ownership(host, target, mode, workers=1)
+        counts.add(serial.survivors)
+        for cpus in (2, 3, 4):
+            log = new_pool_log()
+            monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", serial_pool(log))
+            monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: cpus)
+            assert sweep_ownership(host, target, mode, workers=cpus) == serial
+            tasks = log["tasks"]
+            assert log["started"] == [min(cpus, len(tasks))]
+            # A task carries its slice bounds and no owner tuple.
+            assert all(type(x) is int for task in tasks for x in task)
+            ends = list(itertools.accumulate(size for _, size in tasks))
+            assert [start for start, _ in tasks] == [0, *ends[:-1]]
+            assert ends[-1] == serial.survivors
+            assert all(size > 0 for _, size in tasks)
+            partial_last += tasks[-1][1] < tasks[0][1]
+    assert len(counts) == 13
+    assert min(counts) >= 4
+    assert partial_last > 0
+
+
+def test_one_cpu_starts_no_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError(f"a pool of {max_workers} started on one CPU")
+
+    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 1)
     host = all_ones_host(["a", "b", "c", "d", "v"])
     target = star_target(host, "v")
     serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
-    assert sweep_ownership(host, target, Setting.LOCAL, workers=2) == serial
-    assert log["chunks"] == [2] * 8
-    assert log["peak"] == 4
-    assert log["held"] == 0
+    assert sweep_ownership(host, target, Setting.LOCAL, workers=4) == serial
 
 
 def test_serial_sweep_streams_its_assignments(monkeypatch):
-    # A listed space would hold every survivor in memory before the first check.
+    # The checker gets the per-edge owner choices and one slice over every
+    # survivor, and cuts the assignments from their lazy product itself.
     handed = []
     verify = tempo_ncg.sweeps._verify_chunk
 
-    def spy(host, setting, edges, owner_tuples):
-        handed.append(owner_tuples)
-        return verify(host, setting, edges, owner_tuples)
+    def spy(host, setting, edges, choices, start, size):
+        handed.append((choices, start, size))
+        return verify(host, setting, edges, choices, start, size)
 
     monkeypatch.setattr(tempo_ncg.sweeps, "_verify_chunk", spy)
     host = all_ones_host(["a", "b", "c", "d", "v"])
     result = sweep_ownership(host, star_target(host, "v"), Setting.LOCAL, workers=1)
     assert result.survivors == 16
     assert len(handed) == 1
-    assert not isinstance(handed[0], (list, tuple))
-    assert iter(handed[0]) is handed[0]
+    choices, start, size = handed[0]
+    assert (start, size) == (0, 16)
+    assert [len(choice) for choice in choices] == [2, 2, 2, 2]
 
 
 # -- whole-space search ------------------------------------------------------
