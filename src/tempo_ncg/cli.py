@@ -295,8 +295,10 @@ def dynamics(instance, max_rounds, setting) -> None:
 
 @main.command()
 @click.argument("instance", type=click.Path(exists=True))
-@click.option("--max-edges", type=int, default=20, show_default=True)
-@click.option("--max-subsets", type=int, default=1_000_000, show_default=True)
+@click.option("--max-edges", type=int, show_default=True,
+              default=SpannerSearchConfig().max_candidate_edges)
+@click.option("--max-subsets", type=int, show_default=True,
+              default=SpannerSearchConfig().max_subsets)
 def optimum(instance, max_edges, max_subsets) -> None:
     """Exact minimum terminal spanner, or bracketed bounds (exit 2)."""
     inst = _load_or_die(instance)

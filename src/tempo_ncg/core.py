@@ -11,16 +11,16 @@ Earliest-arrival computation processes labels in ascending order and runs a
 fixed point inside each label group, so chains of equally labelled edges
 propagate in one pass. :func:`reach_masks` is its backward twin: one sweep
 in descending label order gives, for every node at once, the terminals it
-reaches (one bit each, :func:`terminal_bits`). The spanner, minimality and
-needer checks each cost one such sweep, not one forward propagation per
-node; :func:`label_reach_masks` keeps a snapshot per label for the
-deviation search (after Wu et al., VLDB 2014).
+reaches (one bit each, :func:`terminal_bits`), so the spanner check costs
+one sweep, not one forward propagation per node. :func:`label_reach_masks`
+keeps a snapshot per label (after Wu et al., VLDB 2014), read by the
+deviation search and by :func:`removal_masks`.
 
 The other modules share three primitives from here instead of their own
 copies: :func:`group_by_label` (label groups for every sweep),
 :func:`kruskal` (the one union-find, behind :func:`connected_components` and
-the one-label spanning tree) and :func:`edge_needers` (for every edge, the
-nodes that lose a terminal without it).
+the one-label spanning tree) and :func:`removal_masks` (the reach masks
+without any one edge, behind :func:`edge_needers` and the greedy checks).
 
 Input is checked once, at the public boundary. Checked data then takes the
 trusted ``TemporalGraph._from_labels`` and ``_trusted_edge``, which are exact
@@ -30,6 +30,7 @@ because pairs stay canonical and every label was checked on the way in.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Mapping, Reversible, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -464,6 +465,28 @@ def label_reach_masks(
     return masks
 
 
+def removal_masks(
+    groups: LabelGroups, bits: Mapping[NodeId, int]
+) -> Callable[[TimeEdge], dict[NodeId, int]]:
+    """``without(edge)``: the :func:`reach_masks` of ``groups`` with ``edge``,
+    one of their edges, left out, from one :func:`label_reach_masks` sweep.
+
+    Leaving an edge out changes no snapshot above its label, so each call
+    re-sweeps only the labels at or below it, from the stored snapshot of
+    the next label up. ``groups`` ascend by label, as for :func:`reach_masks`.
+    """
+    labels = [label for label, _ in groups]
+    snapshots = label_reach_masks(groups, bits, ())
+
+    def without(edge: TimeEdge) -> dict[NodeId, int]:
+        at = bisect_right(labels, edge.label) - 1
+        above = snapshots[labels[at + 1]] if at + 1 < len(labels) else bits
+        kept = tuple(e for e in groups[at][1] if e != edge)
+        return reach_masks((*groups[:at], (edge.label, kept)), above)
+
+    return without
+
+
 def terminal_bits(
     nodes: Iterable[NodeId], terminals: Iterable[NodeId]
 ) -> dict[NodeId, int]:
@@ -561,19 +584,15 @@ def edge_needers(
     """For each time edge of ``graph``, canonical order, the nodes (canonical
     order) that miss a terminal once that edge alone is gone.
 
-    An edge with no needer can be dropped from a spanner. Each edge costs one
-    backward sweep over the graph's label groups with the edge left out.
+    An edge with no needer can be dropped from a spanner. One
+    :func:`removal_masks` sweep serves every edge.
     """
     bits = terminal_bits(graph.nodes, _check_terminals(graph, terminals))
     full = sum(bits.values())
-    groups = graph.label_groups()
+    without = removal_masks(graph.label_groups(), bits)
     needers = {}
     for edge in graph.time_edges():
-        without = [
-            (label, [e for e in edges if e != edge] if label == edge.label else edges)
-            for label, edges in groups
-        ]
-        masks = reach_masks(without, bits)
+        masks = without(edge)
         needers[edge] = tuple(node for node in graph.nodes if masks[node] != full)
     return needers
 

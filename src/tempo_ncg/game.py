@@ -12,7 +12,8 @@ never considered by the greedy search; the exact NE search subsumes them.
 
 Every check reads one index of a profile's realized graph: its label groups,
 the terminal bits, the bought edges, those that two or more agents buy and,
-once asked for, the adjacency and the reach masks that price every agent.
+once asked for, the reach masks that price every agent and the removal
+masks (:func:`core.removal_masks`) of the greedy remove check.
 Like a validation, it is memoized on the profile outside the fields, per host
 object, so equality and pickling ignore it and copies build their own; a move
 updates its parent's bought and shared edges by the one edge and regroups,
@@ -96,22 +97,11 @@ of its nodes counts one unit of the budget and of ``states_examined``, so
 a budget can still leave a local search inexact.
 
 The greedy check tests a single add with the same lookup (O is then the
-whole realized graph G and C is empty) and a single remove by repairing a
-subtree. The predecessors of one propagation over G form an earliest-arrival
-tree from ``v``: a node's arrival is set once, by an edge whose other end
-already arrived no later, so the tree path to every node is a temporal path
-with its earliest arrival. Dropping an edge ``e`` that another agent also
-buys leaves G as it is, and dropping one that is no node's tree edge keeps
-every tree path. Otherwise ``e`` is the tree edge of one node ``c``; every
-node outside the subtree T below ``c`` keeps its tree path, hence its
-arrival. Take a walk in G - e that reaches a node of T and its last step
-into T, over (x, y, L) with x outside T: the walk is at ``x`` by time L, so
-``arrival[x] <= L``, and after the step it stays in T. Conversely, the tree
-path to ``x``, that step and any walk inside T after it avoid ``e``, which
-joins T to the outside. So seeding ``y`` at L for every edge other than
-``e`` with ``x`` outside T, ``y`` in T and ``arrival[x] <= L``, and walking
-inside T in label order, re-reaches exactly the nodes of T that G - e
-reaches. The terminals of T left over are those the removal loses.
+whole realized graph G and C is empty). A remove of an edge that another
+agent also buys leaves G as it is; any other remove loses the terminals of
+``v``'s reach mask that G without the edge misses, which the index reads
+from :func:`core.removal_masks`. So ``v``'s arrival map is propagated only
+for the add scan, when ``v`` misses a terminal.
 """
 
 from __future__ import annotations
@@ -120,10 +110,10 @@ import copy
 import functools
 import itertools
 import math
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from types import MappingProxyType
 
 from .core import (
@@ -136,6 +126,7 @@ from .core import (
     label_reach_masks,
     propagate_arrivals,
     reach_masks,
+    removal_masks,
     terminal_bits,
 )
 from .errors import (
@@ -392,12 +383,17 @@ class _RealizedIndex:
         return cls(groups, bits, sum(bits.values()), frozenset(bought), frozenset(shared))
 
     @functools.cached_property
-    def adjacency(self) -> dict[NodeId, list[tuple[int, NodeId]]]:
-        return _adjacency(self.groups)
-
-    @functools.cached_property
     def masks(self) -> dict[NodeId, int]:
         return reach_masks(self.groups, self.bits)
+
+    @functools.cached_property
+    def without(self) -> Callable[[TimeEdge], dict[NodeId, int]]:
+        return removal_masks(self.groups, self.bits)
+
+    def lost(self, v: NodeId, edge: TimeEdge) -> int:
+        """Bits of the terminals ``v`` stops reaching once it drops its
+        purchase of ``edge``: none when another agent also buys it."""
+        return 0 if edge in self.shared else self.masks[v] & ~self.without(edge)[v]
 
     def moved(self, s: StrategyProfile, edge: TimeEdge) -> _RealizedIndex:
         """The index of ``s``, a profile that differs from this index's only in
@@ -406,8 +402,7 @@ class _RealizedIndex:
         shared = self.shared | {edge} if buyers > 1 else self.shared - {edge}
         if (edge in self.bought) == (buyers > 0):
             # Only who buys a still-bought edge changed: the graph is the same,
-            # so a shallow copy keeps the groups and the cached masks and
-            # adjacency.
+            # so a shallow copy keeps the groups and the cached masks.
             moved = copy.copy(self)
             object.__setattr__(moved, "shared", shared)
             return moved
@@ -809,69 +804,6 @@ def direct_terminal_profile(host: HostGraph, setting: Setting) -> StrategyProfil
     return StrategyProfile(setting=setting, strategies=strategies)
 
 
-def _tree_children(
-    predecessor: Mapping[NodeId, TimeEdge],
-) -> dict[NodeId, list[NodeId]]:
-    children: dict[NodeId, list[NodeId]] = {}
-    for node, edge in predecessor.items():
-        children.setdefault(edge.other(node), []).append(node)
-    return children
-
-
-def _lost_terminals(
-    e: TimeEdge,
-    arrival: Mapping[NodeId, int],
-    predecessor: Mapping[NodeId, TimeEdge],
-    children: Mapping[NodeId, list[NodeId]],
-    index: _RealizedIndex,
-) -> int:
-    """Bits of the terminals the source stops reaching once its buyer drops
-    ``e``: 0 when another agent also buys ``e`` or it is no node's tree edge,
-    else those of the subtree below ``e`` that the repair walk misses
-    (module docstring)."""
-    if e in index.shared:
-        return 0
-    if predecessor.get(e.v) == e:
-        top = e.v
-    elif predecessor.get(e.u) == e:
-        top = e.u
-    else:
-        return 0
-    bits, adjacency = index.bits, index.adjacency
-    subtree = {top}
-    stack = [top]
-    lost = 0
-    while stack:
-        x = stack.pop()
-        lost |= bits[x]
-        for child in children.get(x, ()):
-            subtree.add(child)
-            stack.append(child)
-    if not lost:
-        return 0
-    dropped = (top, e.other(top), e.label)
-    heap = [
-        (lab, y)
-        for y in subtree
-        for lab, x in adjacency[y]
-        if x not in subtree
-        and arrival.get(x, _INF) <= lab
-        and (y, x, lab) != dropped
-    ]
-    heapify(heap)
-    settled: set[NodeId] = set()
-    while heap and lost:
-        t, y = heappop(heap)
-        if y in settled:
-            continue
-        settled.add(y)
-        lost &= ~bits[y]
-        for lab, z in adjacency[y]:
-            if lab >= t and z in subtree and z not in settled:
-                heappush(heap, (lab, z))
-    return lost
-
-
 def greedy_improving_response(
     v: NodeId, s: StrategyProfile, host: HostGraph
 ) -> GreedyMove | None:
@@ -881,19 +813,18 @@ def greedy_improving_response(
     Those conditions are exactly strict lexicographic cost improvement for
     single-edge changes. Swaps are intentionally not considered.
 
-    One propagation over the realized graph gives ``v``'s arrival map and
-    earliest-arrival tree. Adds are scanned only when ``v`` misses a
-    terminal; each candidate is tested by one lookup in per-label reach
-    masks. An own edge is removable when another agent also buys it, when it
-    is no node's tree edge, or when a walk inside the subtree below it
-    re-reaches every terminal there (module docstring).
+    Adds are scanned only when ``v`` misses a terminal: one propagation over
+    the realized graph gives ``v``'s arrival map, and each candidate is
+    tested by one lookup in per-label reach masks. An own edge is removable
+    when the index's removal masks lose no terminal of ``v`` without it
+    (module docstring).
     """
     _require_node(host, v)
     index = _realized_index(s, host)
     own = s.strategy(v)
-    arrival, predecessor = propagate_arrivals(index.groups, v)
-    reached = _reached_bits(arrival, index.bits)
+    reached = index.masks[v]
     if reached != index.full:
+        arrival, _ = propagate_arrivals(index.groups, v)
         candidates = _setting_candidates(host, v, s.setting)
         masks = label_reach_masks(
             index.groups, index.bits, {edge.label for edge in candidates}
@@ -910,9 +841,8 @@ def greedy_improving_response(
                 continue
             if masks[edge.label][far] & ~reached:
                 return GreedyMove(action="add", edge=edge, new_strategy=own | {edge})
-    children = _tree_children(predecessor) if own else {}
     for edge in sorted(own):
-        if not _lost_terminals(edge, arrival, predecessor, children, index):
+        if not index.lost(v, edge):
             return GreedyMove(action="remove", edge=edge, new_strategy=own - {edge})
     return None
 
@@ -988,18 +918,15 @@ def necessary_terminals(
     """Terminals the buyer reaches with ``e`` in its strategy but not without.
 
     Removal acts on the buyer's strategy and the realized graph is re-formed,
-    so an edge that another agent also buys is never necessary, and neither
-    is one off the buyer's earliest-arrival tree. Otherwise the answer is
-    what the subtree repair of the greedy check leaves unreached.
+    so an edge that another agent also buys is never necessary. Otherwise
+    the answer is what the greedy remove check reads: the buyer's terminals
+    that the index's removal masks without ``e`` miss.
     """
     _require_node(host, buyer)
     index = _realized_index(s, host)
     if e not in s.strategy(buyer):
         raise NotOwned(f"{e} is not bought by {buyer!r}")
-    arrival, predecessor = propagate_arrivals(index.groups, buyer)
-    lost = _lost_terminals(
-        e, arrival, predecessor, _tree_children(predecessor), index
-    )
+    lost = index.lost(buyer, e)
     return frozenset(t for t in host.terminals if lost & index.bits[t])
 
 

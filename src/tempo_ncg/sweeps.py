@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -142,9 +143,7 @@ def sweep_ownership(
     for edge in edges:
         if not host.has_time_edge(edge):
             raise InvalidPurchase(f"target edge {edge} is not offered by the host")
-    total = 1
-    for edge in edges:
-        total *= 2 if mode is Setting.LOCAL else host.node_count
+    total = (2 if mode is Setting.LOCAL else host.node_count) ** len(edges)
     if not is_terminal_spanner(target, host.terminals):
         # Some node misses a terminal whoever owns the edges; nothing survives.
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
@@ -153,9 +152,7 @@ def sweep_ownership(
     for edge in edges:
         allowed = edge.pair if mode is Setting.LOCAL else host.nodes
         choices.append(tuple(v for v in allowed if v in needers[edge]))
-    survivors = 1
-    for choice in choices:
-        survivors *= len(choice)
+    survivors = math.prod(map(len, choices))
     if survivors == 0:
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
     if budget is not None and survivors > budget:

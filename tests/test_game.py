@@ -293,15 +293,15 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
-def test_greedy_check_propagates_once_per_buyer(monkeypatch):
+def test_greedy_check_makes_one_snapshot_sweep_and_no_propagation(monkeypatch):
     dense = dense_cycle_instance(6)
-    calls = _record_calls(monkeypatch, "propagate_arrivals")
+    propagations = _record_calls(monkeypatch, "propagate_arrivals")
+    sweeps = _record_calls(monkeypatch, "removal_masks")
     assert is_greedy_equilibrium(dense.profile, dense.host).is_equilibrium
-    # One sweep per buyer: non-buyers that reach every terminal are skipped,
-    # and removes repair a subtree. One sweep per agent plus one per own
-    # edge made 72 + 276 = 348.
-    assert len(calls) == 48
-    assert sorted(args[1] for args in calls) == list(dense.profile.buyers)
+    # Every agent reaches every terminal, so no add scan propagates, and the
+    # 276 removes of the 48 buyers all read the one index's snapshot sweep.
+    assert propagations == []
+    assert len(sweeps) == 1
 
 
 def test_ge_synthesized_from_minimal_spanner_verifies():

@@ -6,7 +6,7 @@ import zlib
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     assert_matches_the_unbudgeted_oracle,
@@ -77,6 +77,8 @@ from tempo_ncg.core import (
     group_by_label,
     label_reach_masks,
     propagate_arrivals,
+    reach_masks,
+    removal_masks,
     terminal_bits,
 )
 from tempo_ncg.game import (
@@ -411,6 +413,37 @@ def test_edge_needers_match_the_brute_force_oracle(host, data):
     assert edge_needers(target, host.terminals) == oracle_edge_needers(target, host)
 
 
+@st.composite
+def graphs_with_terminals(draw):
+    graph = draw(temporal_graphs(max_n=5, max_label=4))
+    return graph, sorted(draw(st.sets(st.sampled_from(graph.nodes))))
+
+
+# Labels 1 (bottom), 2 and 4 (top) each hold one edge, which its removal
+# empties; the pairs (a, b) and (b, c) carry two labels each.
+_LAYERED = TemporalGraph(
+    ("a", "b", "c", "d"),
+    [
+        TimeEdge("a", "b", 1),
+        TimeEdge("b", "c", 2),
+        TimeEdge("a", "b", 3),
+        TimeEdge("c", "d", 3),
+        TimeEdge("b", "c", 4),
+    ],
+)
+
+
+@example((_LAYERED, ["a", "d"]))
+@given(graphs_with_terminals())
+def test_removal_masks_match_a_sweep_without_the_edge(case):
+    graph, terminals = case
+    bits = terminal_bits(graph.nodes, terminals)
+    without = removal_masks(graph.label_groups(), bits)
+    edges = set(graph.time_edges())
+    for e in sorted(edges):
+        assert without(e) == reach_masks(group_by_label(edges - {e}), bits)
+
+
 @given(hosts(max_n=5, max_label=2) | hosts(max_n=6, max_label=4))
 def test_mono_label_tree_is_the_canonical_tree_of_a_spanning_label(host):
     assert mono_label_spanning_tree(host) == oracle_mono_label_tree(host)
@@ -703,7 +736,7 @@ def test_one_edge_update_matches_a_rebuild(case, rng):
     host, profile = case
     index = _realized_index(profile, host)
     before = copy.deepcopy(index)
-    before_adjacency = copy.deepcopy(index.adjacency)
+    before_without = {e: copy.deepcopy(index.without(e)) for e in index.bought}
     # Dynamics derive each profile's index from its parent's, the first
     # parent being the caller's profile, whose index they must not touch.
     result = greedy_dynamics(profile, host, max_rounds=4)
@@ -711,7 +744,8 @@ def test_one_edge_update_matches_a_rebuild(case, rng):
         profile, host, 4
     )
     assert _realized_index(profile, host) is index
-    assert index == before and index.adjacency == before_adjacency
+    assert index == before
+    assert {e: index.without(e) for e in index.bought} == before_without
     assert _realized_index(result.profile, host) == _realized_index(
         copy.copy(result.profile), host
     )
@@ -737,7 +771,7 @@ def test_one_edge_update_matches_a_rebuild(case, rng):
         e = rng.choice(options)
         child = profile.with_strategy(v, own ^ {e})
         if rng.random() < 0.5:
-            index.adjacency  # a parent with its adjacency built
+            index.without  # a parent with its removal masks built
         else:
             index = dataclasses.replace(index)  # one without
         with mock.patch.object(
@@ -750,10 +784,10 @@ def test_one_edge_update_matches_a_rebuild(case, rng):
         # graph: it neither regroups nor drops what the parent has cached.
         ownership_only = (e in index.bought) == (e in fresh.bought)
         assert regroup.call_count == (0 if ownership_only else 1)
-        for cached in ("adjacency", "masks"):
+        for cached in ("masks", "without"):
             if ownership_only and cached in vars(index):
                 assert vars(moved)[cached] is vars(index)[cached]
-        assert moved.adjacency == fresh.adjacency
+        assert all(moved.without(x) == fresh.without(x) for x in fresh.bought)
         assert moved.masks == fresh.masks
         profile, index = child, moved
 
