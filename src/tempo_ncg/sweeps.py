@@ -10,14 +10,24 @@ property of the target graph alone, so the filter is per-edge and the
 surviving space is a cartesian product.
 
 Every surviving assignment realizes the same spanning target and gives each
-edge exactly one owner, so the other agents' edges are exactly the target
-minus the agent's own set ``S``. An agent's best response therefore depends
-on ``(agent, S)`` alone, and a sweep searches each such pair once, however
-many assignments share it. Agents that buy nothing need no search: the
-target spans, so they already pay the least possible cost (0, 0). One index
-of the target, with no edge bought twice, serves every assignment, and none
-is validated on its own: the sweep checks the target's edges against the
-host, and each owner is an end of its edge (local) or a host node (global).
+edge exactly one owner, chosen among that edge's needers, so the other
+agents' edges are exactly the target minus the agent's own set ``S``. An
+agent's best response therefore depends on ``(agent, S)`` alone. Two kinds
+of buyer need no search at all:
+
+- An agent that buys nothing already pays the least possible cost (0, 0),
+  because the target spans.
+- The owner ``v`` of exactly one edge ``e`` pays (0 unreached, 1 edge), so
+  only the empty strategy could be cheaper. Without ``e`` the others' edges
+  are the target minus ``e``, and ``v`` needs ``e``, so ``v`` misses a
+  terminal. So ``v`` has no improving response: a search would return none,
+  exactly, after 0 states.
+
+A sweep searches each ``(agent, S)`` pair with two or more edges in ``S``
+once, however many assignments share it. One index of the target, with no
+edge bought twice, serves every assignment, and none is validated on its
+own: the sweep checks the target's edges against the host, and each owner
+is an end of its edge (local) or a host node (global).
 
 Each check cuts its assignments as a slice of the lazy product of the
 per-edge owner choices, so no process lists the survivors: a serial sweep
@@ -93,8 +103,10 @@ def _verify_chunk(
     lazy product of the per-edge owner ``choices``, in order.
 
     ``edges`` reach every terminal from every host node, so an assignment
-    is an equilibrium exactly when no buyer has an improving response
-    (module docstring). The slice shares one index of ``edges``.
+    is an equilibrium exactly when no buyer has an improving response.
+    Owners of one edge are stable, and each owner of two or more edges is
+    searched once per own set (module docstring). The slice shares one
+    index of ``edges``.
     """
     index = _RealizedIndex.build(host, edges)
     stable: dict[tuple[NodeId, frozenset[TimeEdge]], bool] = {}
@@ -103,6 +115,8 @@ def _verify_chunk(
         profile = _profile_from_owners(setting, edges, owners)
         _remember(profile, host, index)
         for agent, own in profile.strategies.items():
+            if len(own) == 1:
+                continue
             key = (agent, own)
             if key not in stable:
                 response = find_improving_response(agent, profile, host).response

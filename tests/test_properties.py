@@ -35,6 +35,7 @@ from tempo_ncg import (
     HostGraph,
     InstanceFile,
     NotASpanner,
+    SearchOutcome,
     SearchTooLarge,
     Setting,
     StrategyProfile,
@@ -649,6 +650,34 @@ def test_ownership_sweep_matches_the_unmemoized_oracle(case):
     assert got.total_assignments == want.total_assignments
     assert got.survivors == want.survivors
     assert got.equilibria == want.equilibria
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases(), st.randoms(use_true_random=False))
+def test_a_one_edge_owner_in_a_sweep_survivor_has_no_improving_response(case, rng):
+    """The sweep settles owners of one edge without a search (``sweeps``
+    module docstring). Up to 8 random survivors of the needer filter check
+    that the search and its oracle both return no response, exactly, after
+    0 states for every such owner."""
+    host, target, mode = case
+    assume(is_terminal_spanner(target, host.terminals))
+    needers = edge_needers(target, host.terminals)
+    edges = list(needers)
+    choices = [
+        [v for v in (e.pair if mode is Setting.LOCAL else host.nodes) if v in needers[e]]
+        for e in edges
+    ]
+    assume(all(choices))
+    none = SearchOutcome(response=None, exact=True, states_examined=0)
+    for _ in range(8):
+        strategies = {}
+        for e, choice in zip(edges, choices):
+            strategies.setdefault(rng.choice(choice), set()).add(e)
+        profile = StrategyProfile(mode, strategies)
+        for agent, own in profile.strategies.items():
+            if len(own) == 1:
+                assert find_improving_response(agent, profile, host) == none
+                assert oracle_find_improving_response(agent, profile, host) == none
 
 
 @st.composite

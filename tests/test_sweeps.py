@@ -129,9 +129,11 @@ def test_sweep_searches_each_agent_and_own_set_once(monkeypatch):
     result = sweep_ownership(inst.host, target, Setting.GLOBAL)
     assert result.survivors == 768
     assert result.equilibria == ()
-    # One search per (agent, own set) met before an earlier buyer of the same
-    # assignment failed; verifying every survivor in full made 1,104.
-    assert len(searched) == len(set(searched)) == 47
+    # One search per (agent, own set) of two or more edges met before an
+    # earlier buyer of the same assignment failed. Verifying every survivor
+    # in full would make 1,104 searches, and searching one-edge owners too 47.
+    assert len(searched) == len(set(searched)) == 42
+    assert all(len(own) >= 2 for _, own in searched)
     needers = edge_needers(target, inst.host.terminals)
     keys = set()
     for owners in itertools.product(*needers.values()):
@@ -140,6 +142,26 @@ def test_sweep_searches_each_agent_and_own_set_once(monkeypatch):
                 (agent, frozenset(e for e, o in zip(needers, owners) if o == agent))
             )
     assert set(searched) <= keys
+
+
+def test_one_edge_owners_are_settled_without_a_search(monkeypatch):
+    # Every owner of this local two-terminal equilibrium buys one edge, and
+    # so does every owner of the one other survivor, which hands the pair
+    # edge to its other end: the sweep verifies both and searches no agent.
+    host = random_host(7, 2, 3)
+    profile = two_terminal_ne(host, Setting.LOCAL)
+    assert all(len(own) == 1 for own in profile.strategies.values() if own)
+    searched = []
+
+    def recording(v, s, host):
+        searched.append(v)
+        return find_improving_response(v, s, host)
+
+    monkeypatch.setattr(tempo_ncg.sweeps, "find_improving_response", recording)
+    result = sweep_ownership(host, realized_graph(profile, host), Setting.LOCAL)
+    assert searched == []
+    assert result.survivors == result.equilibrium_count == 2
+    assert profile in result.equilibria
 
 
 def test_sweep_indexes_its_target_once(monkeypatch):
