@@ -16,6 +16,18 @@ one sweep, not one forward propagation per node. :func:`label_reach_masks`
 keeps a snapshot per label (after Wu et al., VLDB 2014), read by the
 deviation search and by :func:`removal_masks`.
 
+The backward sweep comes in two forms. :func:`reach_masks` walks label
+groups of time edges into masks keyed by node; ``game``, ``sweeps``,
+:func:`removal_masks` and :func:`is_terminal_spanner` use it, because their
+groups already exist as time edges (a graph's cached
+:meth:`TemporalGraph.label_groups`, a profile's bought edges). The private
+``_sweep_pairs`` walks lists of node-index pairs into a list of masks
+indexed by node; ``spanner_opt``'s prune and subset walk use it, reading
+the pairs straight from a graph's pair map, so they build no time edge.
+The boundary is deliberate: on spanner-check targets the index sweep alone
+is faster, but not once the label groups that later callers read from the
+same graph are counted, since reading the pairs does not fill that cache.
+
 The other modules share three primitives from here instead of their own
 copies: :func:`group_by_label` (label groups for every sweep),
 :func:`kruskal` (the one union-find, behind :func:`connected_components` and
@@ -438,6 +450,27 @@ def reach_masks(
                 mv = masks[edge.v]
                 if mu != mv:
                     masks[edge.u] = masks[edge.v] = mu | mv
+                    changed = True
+    return masks
+
+
+def _sweep_pairs(
+    groups: Iterable[Iterable[tuple[int, int]]], masks: Sequence[int]
+) -> list[int]:
+    """:func:`reach_masks` over node indices: ``groups`` hold each label's
+    ``(i, j)`` pairs in *descending* label order, ``masks[i]`` is node
+    ``i``'s start mask, and a new list is returned. Builds no time edge, so
+    callers that read a graph's pair map need no label groups."""
+    masks = list(masks)
+    for pairs in groups:
+        changed = True
+        while changed:
+            changed = False
+            for i, j in pairs:
+                mi = masks[i]
+                mj = masks[j]
+                if mi != mj:
+                    masks[i] = masks[j] = mi | mj
                     changed = True
     return masks
 

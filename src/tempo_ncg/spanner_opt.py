@@ -17,11 +17,16 @@ bound: it keeps the backward sweep's reach masks per label, so testing an
 edge re-sweeps only the labels at or below it and stops once the masks match
 the stored ones. An equilibrium built from a minimal spanner gives each edge
 to its first needer in ``core.edge_needers``.
+
+The walk and the prune read the graph's pair -> labels map directly: nodes
+are numbered once, each label's node-index pairs feed ``core._sweep_pairs``,
+reach masks are lists indexed by node, and results are rebuilt from the kept
+labels with the trusted ``TemporalGraph._from_labels``. Neither builds a
+time edge, label groups or a checked graph.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -32,12 +37,10 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     _check_terminals,
+    _sweep_pairs,
     edge_needers,
     is_terminal_spanner,
     kruskal,
-    label_reach_masks,
-    reach_masks,
-    spans_terminals,
     terminal_bits,
 )
 from .errors import NotASpanner, NotMinimal, SearchTooLarge
@@ -83,14 +86,25 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
     return None
 
 
+def spans_terminals(groups: Iterable[list[tuple[int, int]]], bits: list[int]) -> bool:
+    """``core.spans_terminals`` over node indices: whether the
+    ``core._sweep_pairs`` sweep of ``groups`` (each label's index pairs,
+    descending by label) from the terminal ``bits`` gives every node every
+    terminal. The spanner walk's one check per tested subset."""
+    masks = _sweep_pairs(groups, bits)
+    return masks.count(sum(bits)) == len(masks)
+
+
 def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGraph]:
     """Every terminal spanner among the host's time-edge subsets, by ascending
     size from n - 1 and in ``combinations`` order within a size.
 
-    Each size is walked depth-first over pool positions, on an explicit
-    stack, with a subset carried as a bitmask. One rule makes the walk sound:
-    a subset is yielded only after a full sweep of its own edges
-    (``core.spans_terminals``) passes. The prunes skip only subtrees that
+    The pool is the host's time edges in canonical order, read from its pair
+    map as node-index pairs. Each size is walked depth-first over pool
+    positions, on an explicit stack, with a subset carried as a bitmask. One
+    rule makes the walk sound: a subset is yielded only after a full sweep of
+    its own edges (:func:`spans_terminals`) passes. A yielded spanner is
+    rebuilt from its chosen labels with ``TemporalGraph._from_labels``. The prunes skip only subtrees that
     provably hold no spanner, so the spanners and their order are those of
     plain enumeration:
 
@@ -114,28 +128,38 @@ def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGra
     Raises:
         SearchTooLarge: the next spanner lies past rank ``max_subsets``.
     """
-    pool = host.sorted_time_edges
-    n, m = host.node_count, len(pool)
-    bits = terminal_bits(host.nodes, host.terminals)
-    slot = {edge: i for i, edge in enumerate(pool)}
-    groups = [
-        (label, sum(1 << slot[e] for e in edges), [(1 << slot[e], e) for e in edges])
-        for label, edges in host.graph.label_groups()
+    n = host.node_count
+    at = {node: i for i, node in enumerate(host.nodes)}
+    pool = [(pair, label) for pair, labels in host.graph._labels.items() for label in labels]
+    m = len(pool)
+    ends = [(at[u], at[v]) for (u, v), _ in pool]
+    bits = list(terminal_bits(host.nodes, host.terminals).values())
+    by_label: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for k, ((_, label), ij) in enumerate(zip(pool, ends)):
+        by_label.setdefault(label, []).append((1 << k, ij))
+    groups = [  # descending, as the sweep reads them
+        (sum(bit for bit, _ in edges), edges)
+        for _, edges in sorted(by_label.items(), reverse=True)
     ]
-    node_at = {node: i for i, node in enumerate(host.nodes)}
-    ends = [(node_at[e.u], node_at[e.v]) for e in pool]
     suffix = [(1 << m) - (1 << j) for j in range(m + 1)]
     rank = 0
 
     def spans(chosen: int) -> bool:
         return spans_terminals(
             [
-                (label, [e for bit, e in edges if chosen & bit])
-                for label, mask, edges in groups
+                [ij for bit, ij in edges if chosen & bit]
+                for mask, edges in groups
                 if chosen & mask
             ],
             bits,
         )
+
+    def spanner(chosen: int) -> TemporalGraph:
+        labels: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
+        for k, (pair, label) in enumerate(pool):
+            if chosen >> k & 1:
+                labels[pair] = (*labels.get(pair, ()), label)
+        return TemporalGraph._from_labels(host.nodes, labels)
 
     def advance(subsets: int) -> None:
         nonlocal rank
@@ -153,9 +177,7 @@ def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGra
             if not left:
                 advance(1)
                 if spans(chosen):
-                    yield TemporalGraph(
-                        host.nodes, (e for i, e in enumerate(pool) if chosen >> i & 1)
-                    )
+                    yield spanner(chosen)
                 continue
             if k > m - left:
                 continue
@@ -197,10 +219,9 @@ def min_terminal_spanner(
     tree = mono_label_spanning_tree(host)
     if tree is not None:
         return tree
-    pool = host.sorted_time_edges
-    if len(pool) > config.max_candidate_edges:
+    if host.time_edge_count > config.max_candidate_edges:
         raise SearchTooLarge(
-            f"{len(pool)} candidate edges exceed the budget of "
+            f"{host.time_edge_count} candidate edges exceed the budget of "
             f"{config.max_candidate_edges}"
         )
     spanner = next(terminal_spanners(host, config.max_subsets), None)
@@ -215,14 +236,19 @@ def prune_to_minimal(
     """Drop removable time edges in one pass over the canonical edge order.
 
     An edge is dropped when the graph pruned so far still spans without it.
-    The pass keeps the backward sweep's snapshot per label (the masks after
-    sweeping every label at or above it, :func:`core.label_reach_masks`). To
-    test an edge at label L it re-sweeps only the labels at or below L, from
-    the stored snapshot above L, and stops at the first recomputed snapshot
-    equal to the stored one: every lower snapshot then agrees too, so the
-    edge is removable and the new snapshots are kept. Masks only shrink when
-    an edge goes, so reaching time 0 without such a match means some node
-    lost a terminal and the edge stays.
+    The pass reads the graph's pair map once: it numbers the nodes, groups
+    the node-index pairs by label and walks the time edges in canonical
+    order (pairs as stored, labels ascending within a pair). It keeps the
+    backward sweep's snapshot per label, a list of masks indexed by node
+    (the masks after sweeping every label at or above it, with
+    ``core._sweep_pairs``). To test an edge at label L it re-sweeps only the
+    labels at or below L, from the stored snapshot above L, and stops at the
+    first recomputed snapshot equal to the stored one: every lower snapshot
+    then agrees too, so the edge is removable and the new snapshots are
+    kept. Masks only shrink when an edge goes, so reaching time 0 without
+    such a match means some node lost a terminal and the edge stays. The
+    kept labels are rebuilt with the trusted ``TemporalGraph._from_labels``,
+    in the input's pair order.
 
     The result is an inclusion-minimal terminal spanner (minimal inputs come
     back unchanged), the same one as from dropping the first removable edge
@@ -233,31 +259,47 @@ def prune_to_minimal(
         NoTerminals, UnknownNode: as :func:`core.is_terminal_spanner`.
         NotASpanner: input does not reach every terminal from every node.
     """
-    bits = terminal_bits(graph.nodes, _check_terminals(graph, terminals))
-    full = sum(bits.values())
-    groups = graph.label_groups()
-    snapshots = label_reach_masks(groups, bits, ())
-    labels = [label for label, _ in reversed(groups)]  # descending
-    time_zero = snapshots[labels[-1]] if labels else bits
-    if any(mask != full for mask in time_zero.values()):
+    nodes = graph.nodes
+    bits = list(terminal_bits(nodes, _check_terminals(graph, terminals)).values())
+    full = sum(bits)
+    at = {node: i for i, node in enumerate(nodes)}
+    ends = [(at[u], at[v]) for u, v in graph._labels]
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for ij, labels in zip(ends, graph._labels.values()):
+        for label in labels:
+            by_label.setdefault(label, []).append(ij)
+    descending = sorted(by_label, reverse=True)
+    rank = {label: k for k, label in enumerate(descending)}
+    groups = [by_label[label] for label in descending]
+    snapshots = []
+    masks = bits
+    for pairs in groups:
+        masks = _sweep_pairs((pairs,), masks)
+        snapshots.append(masks)
+    if any(mask != full for mask in masks):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
-    by_label = {label: list(edges) for label, edges in groups}
-    for edge in graph.time_edges():
-        edges = by_label[edge.label]
-        at = edges.index(edge)
-        del edges[at]
-        start = labels.index(edge.label)
-        masks = snapshots[labels[start - 1]] if start else bits
-        trial = {}
-        for label in labels[start:]:
-            masks = reach_masks(((label, by_label[label]),), masks)
-            if masks == snapshots[label]:
-                snapshots.update(trial)
-                break
-            trial[label] = masks
-        else:
-            edges.insert(at, edge)
-    return TemporalGraph(graph.nodes, itertools.chain.from_iterable(by_label.values()))
+    kept = {}
+    for ij, (pair, labels) in zip(ends, graph._labels.items()):
+        stay = []
+        for label in labels:
+            start = rank[label]
+            pairs = groups[start]
+            where = pairs.index(ij)
+            del pairs[where]
+            masks = snapshots[start - 1] if start else bits
+            trial = []
+            for k in range(start, len(groups)):
+                masks = _sweep_pairs((groups[k],), masks)
+                if masks == snapshots[k]:
+                    snapshots[start:k] = trial
+                    break
+                trial.append(masks)
+            else:
+                pairs.insert(where, ij)
+                stay.append(label)
+        if stay:
+            kept[pair] = tuple(stay)
+    return TemporalGraph._from_labels(nodes, kept)
 
 
 def ge_from_minimal_spanner(

@@ -75,6 +75,7 @@ from tempo_ncg import (
 )
 import tempo_ncg.game
 from tempo_ncg.core import (
+    _sweep_pairs,
     group_by_label,
     label_reach_masks,
     propagate_arrivals,
@@ -155,6 +156,20 @@ def test_backward_reach_masks_match_brute_force(graph, data):
             for node in brute_force_arrivals(later, source):
                 want |= bits[node]
             assert by_node[source] == want
+
+
+@given(temporal_graphs(), st.data())
+def test_index_pair_sweep_matches_the_time_edge_sweep(graph, data):
+    terminals = data.draw(st.sets(st.sampled_from(graph.nodes)), label="terminals")
+    bits = terminal_bits(graph.nodes, sorted(terminals))
+    at = {node: i for i, node in enumerate(graph.nodes)}
+    groups = group_by_label(graph.time_edges())
+    pairs = [[(at[e.u], at[e.v]) for e in edges] for _, edges in reversed(groups)]
+    start = [bits[node] for node in graph.nodes]
+    swept = _sweep_pairs(pairs, start)
+    want = reach_masks(groups, bits)
+    assert swept == [want[node] for node in graph.nodes]
+    assert start == [bits[node] for node in graph.nodes]  # the input is left as it was
 
 
 @given(temporal_graphs(max_n=6), st.data())

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from tempo_ncg import (
+    InstanceFile,
     NotASpanner,
     NotMinimal,
     SearchTooLarge,
@@ -11,11 +12,13 @@ from tempo_ncg import (
     TemporalGraph,
     TimeEdge,
     dense_cycle_instance,
+    dumps_instance,
     find_nash_by_search,
     ge_from_minimal_spanner,
     is_greedy_equilibrium,
     is_minimal_terminal_spanner,
     is_terminal_spanner,
+    loads_instance,
     min_terminal_spanner,
     mono_label_spanning_tree,
     prune_to_minimal,
@@ -357,6 +360,32 @@ def test_prune_matches_the_one_sweep_per_edge_loop_at_n10():
         assert prune_to_minimal(host.graph, host.terminals) == oracle_single_pass_prune(
             host.graph, host.terminals
         )
+
+
+def test_prune_reads_the_pair_map_and_rebuilds_a_canonical_graph():
+    # A freshly parsed host of the prune-fallback shape: the prune builds no
+    # label groups for it, and its trusted rebuild equals the checked one,
+    # pair order included.
+    for seed in range(4):
+        host = random_host(10, 3, seed)
+        graph = loads_instance(dumps_instance(InstanceFile(name="h", host=host))).host.graph
+        pruned = prune_to_minimal(graph, host.terminals)
+        assert graph._groups is None
+        checked = TemporalGraph(host.nodes, pruned.time_edges())
+        assert pruned == checked
+        assert list(pruned.pairs()) == list(checked.pairs())
+
+
+def test_spanner_walk_reads_the_pair_map_and_rebuilds_canonical_graphs():
+    host = random_host(6, 3, seed=9)
+    assert mono_label_spanning_tree(host) is None
+    spanners = take_spanners(terminal_spanners(host, 10**6), 3)
+    assert host.graph._groups is None
+    assert "sorted_time_edges" not in vars(host)
+    for spanner in spanners:
+        checked = TemporalGraph(host.nodes, spanner.time_edges())
+        assert spanner == checked
+        assert list(spanner.pairs()) == list(checked.pairs())
 
 
 def test_minimum_never_exceeds_pruned_size():
