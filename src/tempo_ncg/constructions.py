@@ -729,11 +729,11 @@ def lifetime2_tree_ne(host: HostGraph) -> StrategyProfile:
 
     With ``root`` the first terminal: if the label-2 edges connect every
     node, each node of root's earliest-arrival tree over the label-2 group
-    (:func:`core.propagate_arrivals`) buys the edge that reached it;
-    otherwise every pair leaving root's label-2 component carries label 1
-    (the host is complete), and a label-1 double star works: outsiders buy
-    their edge to ``root``, the rest of root's component buys its edge to
-    one outside hub.
+    (:func:`core.propagate_arrivals`) buys the label-2 edge of the pair that
+    reached it; otherwise every pair leaving root's label-2 component
+    carries label 1 (the host is complete), and a label-1 double star
+    works: outsiders buy their edge to ``root``, the rest of root's
+    component buys its edge to one outside hub.
 
     Either tree is an equilibrium in both settings. Its edges share one
     label, so every node reaches every other along the tree. Every buyer
@@ -751,7 +751,7 @@ def lifetime2_tree_ne(host: HostGraph) -> StrategyProfile:
     label2 = dict(host.graph.label_groups()).get(2, ())
     arrival, tree = propagate_arrivals(((2, label2),), root)
     if len(arrival) == host.node_count:
-        strategies = {v: {edge} for v, edge in tree.items()}
+        strategies = {v: {TimeEdge(a, b, 2)} for v, (a, b) in tree.items()}
     else:
         outside = sorted(set(host.nodes) - arrival.keys())
         strategies = {v: {TimeEdge(v, root, 1)} for v in outside}

@@ -16,17 +16,14 @@ one sweep, not one forward propagation per node. :func:`label_reach_masks`
 keeps a snapshot per label (after Wu et al., VLDB 2014), read by the
 deviation search and by :func:`removal_masks`.
 
-The backward sweep comes in two forms. :func:`reach_masks` walks label
-groups of time edges into masks keyed by node; ``game``, ``sweeps``,
-:func:`removal_masks` and :func:`is_terminal_spanner` use it, because their
-groups already exist as time edges (a graph's cached
-:meth:`TemporalGraph.label_groups`, a profile's bought edges). The private
-``_sweep_pairs`` walks lists of node-index pairs into a list of masks
-indexed by node; ``spanner_opt``'s prune and subset walk use it, reading
-the pairs straight from a graph's pair map, so they build no time edge.
-The boundary is deliberate: on spanner-check targets the index sweep alone
-is faster, but not once the label groups that later callers read from the
-same graph are counted, since reading the pairs does not fill that cache.
+Every sweep reads label groups of one form: ``(label, pairs)`` in ascending
+label order, each pair a canonical node pair. A graph's cached
+:meth:`TemporalGraph.label_groups` reads them from its pair map and
+:func:`group_by_label` from a set of time edges (a profile's bought edges),
+so the time edge stays the unit agents buy and no sweep reads one.
+:func:`reach_masks` is the one backward sweep: pairs of node ids index a
+dict of masks, and pairs of node indices, as in ``spanner_opt``'s prune and
+subset walk, index a list.
 
 The other modules share three primitives from here instead of their own
 copies: :func:`group_by_label` (label groups for every sweep),
@@ -45,7 +42,7 @@ import functools
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Mapping, Reversible, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import TypeVar
 
 from .errors import (
     IncompleteHost,
@@ -114,19 +111,16 @@ def _canonical_pair(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
     return (a, b) if a <= b else (b, a)
 
 
-LabelGroups = tuple[tuple[int, tuple[TimeEdge, ...]], ...]
+LabelGroups = tuple[tuple[int, tuple[tuple[NodeId, NodeId], ...]], ...]
+_Masks = TypeVar("_Masks", dict[NodeId, int], list[int])
 
 
 def group_by_label(edges: Iterable[TimeEdge]) -> LabelGroups:
-    """Time edges grouped by ascending label, each group in canonical order."""
-    by_label: dict[int, list[TimeEdge]] = {}
+    """The time edges' pairs grouped by ascending label, each group sorted."""
+    by_label: dict[int, list[tuple[NodeId, NodeId]]] = {}
     for edge in edges:
-        by_label.setdefault(edge.label, []).append(edge)
-    # Labels are equal inside a group, so the endpoints alone give canonical order.
-    pair = attrgetter("u", "v")
-    return tuple(
-        (label, tuple(sorted(by_label[label], key=pair))) for label in sorted(by_label)
-    )
+        by_label.setdefault(edge.label, []).append((edge.u, edge.v))
+    return tuple((label, tuple(sorted(by_label[label]))) for label in sorted(by_label))
 
 
 class TemporalGraph:
@@ -236,11 +230,12 @@ class TemporalGraph:
         )
 
     def label_groups(self) -> LabelGroups:
-        """Time edges grouped by ascending label (pairs are in order), cached."""
+        """Pairs grouped by ascending label from the pair map, in order; cached."""
         if self._groups is None:
-            by_label: dict[int, list[TimeEdge]] = {}
-            for edge in self.time_edges():
-                by_label.setdefault(edge.label, []).append(edge)
+            by_label: dict[int, list[tuple[NodeId, NodeId]]] = {}
+            for pair, labels in self._labels.items():
+                for label in labels:
+                    by_label.setdefault(label, []).append(pair)
             self._groups = tuple(
                 (label, tuple(by_label[label])) for label in sorted(by_label)
             )
@@ -397,11 +392,11 @@ class ArrivalMap:
 
 
 def propagate_arrivals(
-    groups: Iterable[tuple[int, tuple[TimeEdge, ...]]], source: NodeId
-) -> tuple[dict[NodeId, int], dict[NodeId, TimeEdge]]:
-    """Earliest-arrival sweep over pre-grouped time edges: the arrival map
-    and, for every reached node but ``source``, the edge that set its
-    arrival, once, so those edges form an earliest-arrival tree.
+    groups: Iterable[tuple[int, Iterable[tuple[NodeId, NodeId]]]], source: NodeId
+) -> tuple[dict[NodeId, int], dict[NodeId, tuple[NodeId, NodeId]]]:
+    """Earliest-arrival sweep over label groups: the arrival map and, for
+    every reached node but ``source``, the pair that set its arrival, at
+    that arrival's label, once; those pairs form an earliest-arrival tree.
 
     ``groups`` must be sorted by ascending label (as from
     :meth:`TemporalGraph.label_groups` or :func:`group_by_label`); a caller
@@ -409,60 +404,41 @@ def propagate_arrivals(
     sweep iterates to a fixed point so equally labelled edges chain.
     """
     arrival: dict[NodeId, int] = {source: 0}
-    predecessor: dict[NodeId, TimeEdge] = {}
-    for label, edges in groups:
+    tree: dict[NodeId, tuple[NodeId, NodeId]] = {}
+    for label, pairs in groups:
         changed = True
         while changed:
             changed = False
-            for edge in edges:
-                au = arrival.get(edge.u, _INF)
-                av = arrival.get(edge.v, _INF)
+            for u, v in pairs:
+                au = arrival.get(u, _INF)
+                av = arrival.get(v, _INF)
                 if au <= label < av:
-                    arrival[edge.v] = label
-                    predecessor[edge.v] = edge
+                    arrival[v] = label
+                    tree[v] = (u, v)
                     changed = True
                 elif av <= label < au:
-                    arrival[edge.u] = label
-                    predecessor[edge.u] = edge
+                    arrival[u] = label
+                    tree[u] = (u, v)
                     changed = True
-    return arrival, predecessor
+    return arrival, tree
 
 
 def reach_masks(
-    groups: Reversible[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
-) -> dict[NodeId, int]:
-    """Backward reach sweep: ``masks[x]`` ORs ``bits`` over every node that
-    ``x`` reaches from time 0, for all sources in one pass.
+    groups: Reversible[tuple[int, Iterable[tuple]]], masks: _Masks
+) -> _Masks:
+    """Backward reach sweep: a copy of ``masks`` in which ``masks[x]`` ORs
+    the start masks of every node that ``x`` reaches from time 0, for all
+    sources in one pass.
 
     ``groups`` must be sorted by ascending label (as from
     :meth:`TemporalGraph.label_groups` or :func:`group_by_label`); the sweep
-    walks them in reverse. ``bits`` must map every node; a node always
-    reaches itself. Inside one label, a fixed point spreads masks over each
-    connected component of that label's edges.
+    walks them in reverse. ``masks`` covers every node: a dict for pairs of
+    node ids, a list for pairs of node indices. A node always reaches
+    itself. Inside one label, a fixed point spreads masks over each
+    connected component of that label's pairs.
     """
-    masks = dict(bits)
-    for _, edges in reversed(groups):
-        changed = True
-        while changed:
-            changed = False
-            for edge in edges:
-                mu = masks[edge.u]
-                mv = masks[edge.v]
-                if mu != mv:
-                    masks[edge.u] = masks[edge.v] = mu | mv
-                    changed = True
-    return masks
-
-
-def _sweep_pairs(
-    groups: Iterable[Iterable[tuple[int, int]]], masks: Sequence[int]
-) -> list[int]:
-    """:func:`reach_masks` over node indices: ``groups`` hold each label's
-    ``(i, j)`` pairs in *descending* label order, ``masks[i]`` is node
-    ``i``'s start mask, and a new list is returned. Builds no time edge, so
-    callers that read a graph's pair map need no label groups."""
-    masks = list(masks)
-    for pairs in groups:
+    masks = masks.copy()
+    for _, pairs in reversed(groups):
         changed = True
         while changed:
             changed = False
@@ -476,7 +452,7 @@ def _sweep_pairs(
 
 
 def label_reach_masks(
-    groups: Iterable[tuple[int, tuple[TimeEdge, ...]]],
+    groups: Iterable[tuple[int, tuple[tuple[NodeId, NodeId], ...]]],
     bits: Mapping[NodeId, int],
     labels: Iterable[int],
 ) -> dict[int, dict[NodeId, int]]:
@@ -501,8 +477,8 @@ def label_reach_masks(
 def removal_masks(
     groups: LabelGroups, bits: Mapping[NodeId, int]
 ) -> Callable[[TimeEdge], dict[NodeId, int]]:
-    """``without(edge)``: the :func:`reach_masks` of ``groups`` with ``edge``,
-    one of their edges, left out, from one :func:`label_reach_masks` sweep.
+    """``without(edge)``: the :func:`reach_masks` of ``groups`` without the
+    pair of ``edge`` at its label, from one :func:`label_reach_masks` sweep.
 
     Leaving an edge out changes no snapshot above its label, so each call
     re-sweeps only the labels at or below it, from the stored snapshot of
@@ -514,7 +490,8 @@ def removal_masks(
     def without(edge: TimeEdge) -> dict[NodeId, int]:
         at = bisect_right(labels, edge.label) - 1
         above = snapshots[labels[at + 1]] if at + 1 < len(labels) else bits
-        kept = tuple(e for e in groups[at][1] if e != edge)
+        pair = (edge.u, edge.v)
+        kept = tuple(p for p in groups[at][1] if p != pair)
         return reach_masks((*groups[:at], (edge.label, kept)), above)
 
     return without
@@ -530,9 +507,7 @@ def terminal_bits(
     return bits
 
 
-def spans_terminals(
-    groups: Reversible[tuple[int, Iterable[TimeEdge]]], bits: Mapping[NodeId, int]
-) -> bool:
+def spans_terminals(groups: LabelGroups, bits: dict[NodeId, int]) -> bool:
     """Whether every node reaches every :func:`terminal_bits` terminal;
     ``groups`` ascend by label, as for :func:`reach_masks`."""
     full = sum(bits.values())
@@ -547,7 +522,8 @@ def earliest_arrivals(graph: TemporalGraph, source: NodeId) -> ArrivalMap:
     """
     if source not in graph:
         raise UnknownNode(f"{source!r} is not a node of the graph")
-    arrival, predecessor = propagate_arrivals(graph.label_groups(), source)
+    arrival, tree = propagate_arrivals(graph.label_groups(), source)
+    predecessor = {x: _trusted_edge(u, v, arrival[x]) for x, (u, v) in tree.items()}
     return ArrivalMap(source=source, arrival=arrival, predecessor=predecessor)
 
 

@@ -434,18 +434,20 @@ def _realized_index(s: StrategyProfile, host: HostGraph) -> _RealizedIndex:
 
 
 def _others_groups(index: _RealizedIndex, own: frozenset[TimeEdge]) -> LabelGroups:
-    """The realized groups without the edges that only ``own``'s agent buys,
-    which are the other agents' groups; a group holding none of them is
-    passed through as it is, and an emptied group is dropped."""
-    mine = own - index.shared
-    labels = {edge.label for edge in mine}
+    """The realized groups without the pairs that only ``own``'s agent
+    buys, which are the other agents' groups; a group holding none of them
+    is passed through as it is, and an emptied group is dropped."""
+    mine: dict[int, set[tuple[NodeId, NodeId]]] = {}
+    for edge in own - index.shared:
+        mine.setdefault(edge.label, set()).add((edge.u, edge.v))
     groups = []
-    for label, edges in index.groups:
-        if label in labels:
-            edges = tuple(edge for edge in edges if edge not in mine)
-            if not edges:
+    for label, pairs in index.groups:
+        drop = mine.get(label)
+        if drop:
+            pairs = tuple(pair for pair in pairs if pair not in drop)
+            if not pairs:
                 continue
-        groups.append((label, edges))
+        groups.append((label, pairs))
     return tuple(groups)
 
 
@@ -486,12 +488,12 @@ def _setting_candidates(host: HostGraph, v: NodeId, setting: Setting) -> Sequenc
 
 
 def _adjacency(groups: LabelGroups) -> dict[NodeId, list[tuple[int, NodeId]]]:
-    """node -> [(label, neighbour)] over the grouped edges, in label order."""
+    """node -> [(label, neighbour)] over the grouped pairs, in label order."""
     adjacency: dict[NodeId, list[tuple[int, NodeId]]] = {}
-    for label, edges in groups:
-        for edge in edges:
-            adjacency.setdefault(edge.u, []).append((label, edge.v))
-            adjacency.setdefault(edge.v, []).append((label, edge.u))
+    for label, pairs in groups:
+        for u, v in pairs:
+            adjacency.setdefault(u, []).append((label, v))
+            adjacency.setdefault(v, []).append((label, u))
     return adjacency
 
 

@@ -19,10 +19,10 @@ the stored ones. An equilibrium built from a minimal spanner gives each edge
 to its first needer in ``core.edge_needers``.
 
 The walk and the prune read the graph's pair -> labels map directly: nodes
-are numbered once, each label's node-index pairs feed ``core._sweep_pairs``,
-reach masks are lists indexed by node, and results are rebuilt from the kept
-labels with the trusted ``TemporalGraph._from_labels``. Neither builds a
-time edge, label groups or a checked graph.
+are numbered once, each label's node-index pairs form a group for
+``core.reach_masks``, reach masks are lists indexed by node, and results are
+rebuilt from the kept labels with the trusted ``TemporalGraph._from_labels``.
+Neither builds a time edge, the graph's label groups or a checked graph.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     _check_terminals,
-    _sweep_pairs,
     edge_needers,
     is_terminal_spanner,
     kruskal,
+    reach_masks,
     terminal_bits,
 )
 from .errors import NotASpanner, NotMinimal, SearchTooLarge
@@ -86,15 +86,6 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
     return None
 
 
-def spans_terminals(groups: Iterable[list[tuple[int, int]]], bits: list[int]) -> bool:
-    """``core.spans_terminals`` over node indices: whether the
-    ``core._sweep_pairs`` sweep of ``groups`` (each label's index pairs,
-    descending by label) from the terminal ``bits`` gives every node every
-    terminal. The spanner walk's one check per tested subset."""
-    masks = _sweep_pairs(groups, bits)
-    return masks.count(sum(bits)) == len(masks)
-
-
 def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGraph]:
     """Every terminal spanner among the host's time-edge subsets, by ascending
     size from n - 1 and in ``combinations`` order within a size.
@@ -102,9 +93,10 @@ def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGra
     The pool is the host's time edges in canonical order, read from its pair
     map as node-index pairs. Each size is walked depth-first over pool
     positions, on an explicit stack, with a subset carried as a bitmask. One
-    rule makes the walk sound: a subset is yielded only after a full sweep of
-    its own edges (:func:`spans_terminals`) passes. A yielded spanner is
-    rebuilt from its chosen labels with ``TemporalGraph._from_labels``. The prunes skip only subtrees that
+    rule makes the walk sound: a subset is yielded only after a full
+    ``core.reach_masks`` sweep of its own edges gives every node every
+    terminal. A yielded spanner is rebuilt from its chosen labels with
+    ``TemporalGraph._from_labels``. The prunes skip only subtrees that
     provably hold no spanner, so the spanners and their order are those of
     plain enumeration:
 
@@ -134,25 +126,24 @@ def terminal_spanners(host: HostGraph, max_subsets: int) -> Iterator[TemporalGra
     m = len(pool)
     ends = [(at[u], at[v]) for (u, v), _ in pool]
     bits = list(terminal_bits(host.nodes, host.terminals).values())
+    full = sum(bits)
     by_label: dict[int, list[tuple[int, tuple[int, int]]]] = {}
     for k, ((_, label), ij) in enumerate(zip(pool, ends)):
         by_label.setdefault(label, []).append((1 << k, ij))
-    groups = [  # descending, as the sweep reads them
-        (sum(bit for bit, _ in edges), edges)
-        for _, edges in sorted(by_label.items(), reverse=True)
+    groups = [
+        (label, sum(bit for bit, _ in edges), edges)
+        for label, edges in sorted(by_label.items())
     ]
     suffix = [(1 << m) - (1 << j) for j in range(m + 1)]
     rank = 0
 
     def spans(chosen: int) -> bool:
-        return spans_terminals(
-            [
-                [ij for bit, ij in edges if chosen & bit]
-                for mask, edges in groups
-                if chosen & mask
-            ],
-            bits,
-        )
+        chosen_groups = [
+            (label, [ij for bit, ij in edges if chosen & bit])
+            for label, mask, edges in groups
+            if chosen & mask
+        ]
+        return reach_masks(chosen_groups, bits).count(full) == n
 
     def spanner(chosen: int) -> TemporalGraph:
         labels: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
@@ -237,15 +228,15 @@ def prune_to_minimal(
 
     An edge is dropped when the graph pruned so far still spans without it.
     The pass reads the graph's pair map once: it numbers the nodes, groups
-    the node-index pairs by label and walks the time edges in canonical
-    order (pairs as stored, labels ascending within a pair). It keeps the
-    backward sweep's snapshot per label, a list of masks indexed by node
-    (the masks after sweeping every label at or above it, with
-    ``core._sweep_pairs``). To test an edge at label L it re-sweeps only the
-    labels at or below L, from the stored snapshot above L, and stops at the
-    first recomputed snapshot equal to the stored one: every lower snapshot
-    then agrees too, so the edge is removable and the new snapshots are
-    kept. Masks only shrink when an edge goes, so reaching time 0 without
+    the node-index pairs by label into ``(label, pairs)`` groups and walks
+    the time edges in canonical order (pairs as stored, labels ascending
+    within a pair). It keeps the backward sweep's snapshot per label, a
+    list of masks indexed by node (the masks once ``core.reach_masks`` has
+    swept every label at or above it). To test an edge at label L it
+    re-sweeps only the labels at or below L, from the stored snapshot above
+    L, and stops at the first recomputed snapshot equal to the stored one:
+    every lower snapshot then agrees too, so the edge is removable and the
+    new snapshots are kept. Masks only shrink when an edge goes, so reaching time 0 without
     such a match means some node lost a terminal and the edge stays. The
     kept labels are rebuilt with the trusted ``TemporalGraph._from_labels``,
     in the input's pair order.
@@ -268,13 +259,12 @@ def prune_to_minimal(
     for ij, labels in zip(ends, graph._labels.values()):
         for label in labels:
             by_label.setdefault(label, []).append(ij)
-    descending = sorted(by_label, reverse=True)
-    rank = {label: k for k, label in enumerate(descending)}
-    groups = [by_label[label] for label in descending]
+    groups = sorted(by_label.items(), reverse=True)
+    rank = {label: k for k, (label, _) in enumerate(groups)}
     snapshots = []
     masks = bits
-    for pairs in groups:
-        masks = _sweep_pairs((pairs,), masks)
+    for group in groups:
+        masks = reach_masks((group,), masks)
         snapshots.append(masks)
     if any(mask != full for mask in masks):
         raise NotASpanner("input graph does not reach all terminals from all nodes")
@@ -283,13 +273,13 @@ def prune_to_minimal(
         stay = []
         for label in labels:
             start = rank[label]
-            pairs = groups[start]
+            pairs = groups[start][1]
             where = pairs.index(ij)
             del pairs[where]
             masks = snapshots[start - 1] if start else bits
             trial = []
             for k in range(start, len(groups)):
-                masks = _sweep_pairs((groups[k],), masks)
+                masks = reach_masks((groups[k],), masks)
                 if masks == snapshots[k]:
                     snapshots[start:k] = trial
                     break

@@ -32,6 +32,7 @@ from tempo_ncg import (
     StrategyProfile,
     SweepResult,
     TemporalGraph,
+    TimeEdge,
     Verdict,
     edge_needers,
     is_nash_equilibrium,
@@ -98,13 +99,16 @@ def oracle_single_pass_prune(graph, terminals):
     """One pass over the canonical edge order: drop an edge when the graph
     pruned so far still spans without it (one full backward sweep per edge).
     The input must be a spanner."""
-    by_label = {label: list(edges) for label, edges in graph.label_groups()}
+    by_label = {label: list(pairs) for label, pairs in graph.label_groups()}
     bits = terminal_bits(graph.nodes, terminals)
     for edge in graph.time_edges():
-        by_label[edge.label].remove(edge)
+        by_label[edge.label].remove(edge.pair)
         if not spans_terminals(by_label.items(), bits):
-            by_label[edge.label].append(edge)  # order inside a label is moot
-    return TemporalGraph(graph.nodes, itertools.chain.from_iterable(by_label.values()))
+            by_label[edge.label].append(edge.pair)  # order inside a label is moot
+    return TemporalGraph(
+        graph.nodes,
+        (TimeEdge(u, v, label) for label, pairs in by_label.items() for u, v in pairs),
+    )
 
 
 def oracle_terminal_spanners(host, max_subsets):

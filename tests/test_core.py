@@ -8,6 +8,7 @@ import tempo_ncg
 from tempo_ncg import (
     HostGraph,
     IncompleteHost,
+    InstanceFile,
     NoTerminals,
     NotASpanner,
     TemporalGraph,
@@ -15,15 +16,19 @@ from tempo_ncg import (
     UnknownNode,
     connected_components,
     dense_cycle_instance,
+    dumps_instance,
     earliest_arrivals,
     edge_needers,
     is_minimal_terminal_spanner,
     is_terminal_spanner,
+    loads_instance,
     prune_to_minimal,
+    random_host,
     reach_set,
     realized_graph,
     validate_and_normalize_host,
 )
+from tempo_ncg.core import group_by_label
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 
 from oracles import brute_force_arrivals
@@ -251,6 +256,26 @@ def test_path_reconstruction_is_temporal():
         assert last == arrivals.arrival_of(target)
     with pytest.raises(ValueError):
         earliest_arrivals(TemporalGraph(["a", "b"]), "a").path_to("b")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_label_groups_build_no_time_edge(monkeypatch, seed):
+    # The groups come from the pair map as canonical pairs, so a freshly
+    # parsed graph fills its cache without one trusted time edge.
+    inst = InstanceFile(name="random", host=random_host(10, 3, seed))
+    graph = loads_instance(dumps_instance(inst)).host.graph
+    calls = []
+    real = tempo_ncg.core._trusted_edge
+
+    def counted(u, v, label):
+        calls.append((u, v, label))
+        return real(u, v, label)
+
+    monkeypatch.setattr(tempo_ncg.core, "_trusted_edge", counted)
+    groups = graph.label_groups()
+    assert calls == []
+    assert groups == group_by_label(graph.time_edges())
+    assert len(calls) == graph.time_edge_count == 45
 
 
 # --- reach sets -------------------------------------------------------------

@@ -75,7 +75,6 @@ from tempo_ncg import (
 )
 import tempo_ncg.game
 from tempo_ncg.core import (
-    _sweep_pairs,
     group_by_label,
     label_reach_masks,
     propagate_arrivals,
@@ -142,6 +141,23 @@ def test_arrivals_match_brute_force(graph):
 
 
 @given(temporal_graphs(), st.data())
+def test_arrival_tree_maps_each_reached_node_to_a_pair_that_reached_it(graph, data):
+    """``propagate_arrivals`` returns, per reached node but the source, a
+    canonical pair of the graph holding the node and carrying the node's
+    arrival time; ``earliest_arrivals`` rebuilds its predecessor edges from
+    those pairs at that time."""
+    source = data.draw(st.sampled_from(graph.nodes), label="source")
+    arrival, tree = propagate_arrivals(graph.label_groups(), source)
+    assert tree.keys() == arrival.keys() - {source}
+    pairs = set(graph.pairs())
+    for node, pair in tree.items():
+        assert pair in pairs and node in pair
+        assert arrival[node] in graph.labels(*pair)
+    predecessor = earliest_arrivals(graph, source).predecessor
+    assert predecessor == {x: TimeEdge(*pair, arrival[x]) for x, pair in tree.items()}
+
+
+@given(temporal_graphs(), st.data())
 def test_backward_reach_masks_match_brute_force(graph, data):
     bits = {v: data.draw(st.integers(0, 7), label=v) for v in graph.nodes}
     labels = data.draw(st.sets(st.integers(min_value=1, max_value=6)), label="labels")
@@ -158,20 +174,6 @@ def test_backward_reach_masks_match_brute_force(graph, data):
             assert by_node[source] == want
 
 
-@given(temporal_graphs(), st.data())
-def test_index_pair_sweep_matches_the_time_edge_sweep(graph, data):
-    terminals = data.draw(st.sets(st.sampled_from(graph.nodes)), label="terminals")
-    bits = terminal_bits(graph.nodes, sorted(terminals))
-    at = {node: i for i, node in enumerate(graph.nodes)}
-    groups = group_by_label(graph.time_edges())
-    pairs = [[(at[e.u], at[e.v]) for e in edges] for _, edges in reversed(groups)]
-    start = [bits[node] for node in graph.nodes]
-    swept = _sweep_pairs(pairs, start)
-    want = reach_masks(groups, bits)
-    assert swept == [want[node] for node in graph.nodes]
-    assert start == [bits[node] for node in graph.nodes]  # the input is left as it was
-
-
 @given(temporal_graphs(max_n=6), st.data())
 def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
     """Growing a frame edge by edge, as the deviation search does, gives at
@@ -181,10 +183,10 @@ def test_incremental_arrivals_match_a_fresh_propagation(graph, data):
     improving set: the map stays closed under the graph."""
     groups = graph.label_groups()
     adjacency = {}
-    for label, edges in groups:
-        for e in edges:
-            adjacency.setdefault(e.u, []).append((label, e.v))
-            adjacency.setdefault(e.v, []).append((label, e.u))
+    for label, pairs in groups:
+        for u, v in pairs:
+            adjacency.setdefault(u, []).append((label, v))
+            adjacency.setdefault(v, []).append((label, u))
     source = data.draw(st.sampled_from(graph.nodes), label="source")
     terminals = data.draw(st.sets(st.sampled_from(graph.nodes)), label="terminals")
     bits = terminal_bits(graph.nodes, sorted(terminals))
@@ -458,6 +460,34 @@ def test_removal_masks_match_a_sweep_without_the_edge(case):
     edges = set(graph.time_edges())
     for e in sorted(edges):
         assert without(e) == reach_masks(group_by_label(edges - {e}), bits)
+
+
+# One label chains a path, listed so that a pass that rescans only while
+# its last pair changed stops before the terminal's bit reaches ``a``.
+_CHAIN = TemporalGraph(
+    "abcd", [TimeEdge("a", "b", 1), TimeEdge("b", "c", 1), TimeEdge("c", "d", 1)]
+)
+
+
+@example((_CHAIN, ["d"]))
+@given(graphs_with_terminals())
+def test_one_sweep_gives_equal_masks_over_index_pairs_and_id_pairs(case):
+    """One kernel: ``reach_masks`` over node-index pairs into a list equals
+    ``reach_masks`` over node-id pairs into a dict, both equal brute force
+    and both inputs are left unchanged."""
+    graph, terminals = case
+    bits = terminal_bits(graph.nodes, terminals)
+    at = {node: i for i, node in enumerate(graph.nodes)}
+    groups = graph.label_groups()
+    indexed = [(label, [(at[u], at[v]) for u, v in pairs]) for label, pairs in groups]
+    start = [bits[node] for node in graph.nodes]
+    swept = reach_masks(indexed, start)
+    want = reach_masks(groups, bits)
+    assert swept == [want[node] for node in graph.nodes]
+    for source in graph.nodes:
+        assert want[source] == _reached_bits(brute_force_arrivals(graph, source), bits)
+    assert start == [bits[node] for node in graph.nodes]  # the inputs are left as they were
+    assert bits == terminal_bits(graph.nodes, terminals)
 
 
 @given(hosts(max_n=5, max_label=2) | hosts(max_n=6, max_label=4))
