@@ -791,13 +791,14 @@ def random_host(
         raise PreconditionFailed(f"extra_label_prob {extra_label_prob} is not in [0, 1)")
     rng = random.Random(seed)
     width = len(str(n - 1)) if n > 1 else 1
-    nodes = [f"n{i:0{width}d}" for i in range(n)]
+    nodes = tuple(f"n{i:0{width}d}" for i in range(n))
     cap = max_label if max_label is not None else n
-    edges: list[TimeEdge] = []
-    for a, b in itertools.combinations(nodes, 2):
+    # Zero-padded ids sort by index, so the pairs come out canonical and sorted.
+    by_pair: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
+    for pair in itertools.combinations(nodes, 2):
         labels = {rng.randint(1, cap)}
         while rng.random() < extra_label_prob:
             labels.add(rng.randint(1, cap))
-        edges.extend(TimeEdge(a, b, l) for l in labels)
+        by_pair[pair] = tuple(sorted(labels))
     terminals = rng.sample(nodes, k)
-    return validate_and_normalize_host(TemporalGraph(nodes, edges), terminals)
+    return validate_and_normalize_host(TemporalGraph._from_labels(nodes, by_pair), terminals)

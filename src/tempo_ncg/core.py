@@ -464,12 +464,14 @@ def label_reach_masks(
     label that no edge carries shares the mask of the next larger one.
     """
     by_label = dict(groups)
-    current = dict(bits)
+    current = bits
     masks: dict[int, dict[NodeId, int]] = {}
     for label in sorted(by_label.keys() | set(labels), reverse=True):
         edges = by_label.get(label, ())
         if edges:
             current = reach_masks(((label, edges),), current)
+        elif current is bits:  # no snapshot aliases the caller's masks
+            current = dict(bits)
         masks[label] = current
     return masks
 

@@ -11,6 +11,14 @@ inverse on canonical files.
 Each label is validated once, as it is read, and the host graph is built
 from the checked pairs by the trusted ``TemporalGraph._from_labels``; the
 pairs are sorted only when the file lists them out of canonical order.
+
+Emit writes the canonical text directly, in one pass over the graph's pair
+map and the sorted strategies: the exact bytes of ``json.dumps`` with
+``indent=2`` on :func:`instance_to_dict`, which stays the public dict form.
+With ``indent`` set, ``json.dumps`` never uses its C encoder and walks the
+dict one value at a time in Python, so it was most of the cost of writing
+an instance. The writer calls the same string escaper and int formatter,
+and formats each distinct label list once.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ from .game import Setting, StrategyProfile
 
 SCHEMA_VERSION = 1
 PAIR_SEPARATOR = "|"
+
+# The string escaper and int formatter json.dumps calls with ensure_ascii=False.
+_encode = json.encoder.encode_basestring
+_int = int.__repr__
 
 
 @dataclass(frozen=True)
@@ -183,8 +195,52 @@ def instance_from_dict(data: dict) -> InstanceFile:
     )
 
 
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Encoded ``items`` as a JSON array (an object with ``brackets="{}"``)
+    nested ``depth`` levels deep, laid out as ``json.dumps(indent=2)`` does."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return f"{brackets[0]}{pad}  {(',' + pad + '  ').join(items)}{pad}{brackets[1]}"
+
+
 def dumps_instance(instance: InstanceFile) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2, ensure_ascii=False) + "\n"
+    """The text of ``json.dumps(instance_to_dict(instance), indent=2,
+    ensure_ascii=False)`` and a newline, written straight from the instance."""
+    host = instance.host
+    by_pair = host.graph._labels
+    default = (instance.default_label,)
+    arrays = {labels: _block([*map(_int, labels)], 3) for labels in set(by_pair.values())}
+    edges = [
+        f"{_encode(f'{u}{PAIR_SEPARATOR}{v}')}: {arrays[labels]}"
+        for (u, v), labels in by_pair.items()
+        if labels != default
+    ]
+    host_items = [
+        f'"nodes": {_block([*map(_encode, host.nodes)], 2)}',
+        f'"terminals": {_block([*map(_encode, host.terminals)], 2)}',
+        f'"edges": {_block(edges, 2, "{}")}',
+    ]
+    if instance.default_label is not None:
+        host_items.append(f'"default_label": {_int(instance.default_label)}')
+    items = [f'"v": {_int(SCHEMA_VERSION)}', f'"name": {_encode(instance.name)}']
+    if instance.source is not None:
+        items.append(f'"source": {_encode(instance.source)}')
+    items.append(f'"host": {_block(host_items, 1, "{}")}')
+    profile = instance.profile
+    if profile is not None:
+        strategies = []
+        for agent, bought in profile.strategies.items():
+            triples = [
+                _block([_encode(e.u), _encode(e.v), _int(e.label)], 4) for e in sorted(bought)
+            ]
+            strategies.append(f"{_encode(agent)}: {_block(triples, 3)}")
+        profile_items = [
+            f'"setting": {_encode(profile.setting.value)}',
+            f'"strategies": {_block(strategies, 2, "{}")}',
+        ]
+        items.append(f'"profile": {_block(profile_items, 1, "{}")}')
+    return _block(items, 0, "{}") + "\n"
 
 
 def loads_instance(text: str) -> InstanceFile:

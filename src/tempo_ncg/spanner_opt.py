@@ -210,9 +210,10 @@ def min_terminal_spanner(
     tree = mono_label_spanning_tree(host)
     if tree is not None:
         return tree
-    if host.time_edge_count > config.max_candidate_edges:
+    candidates = host.time_edge_count
+    if candidates > config.max_candidate_edges:
         raise SearchTooLarge(
-            f"{host.time_edge_count} candidate edges exceed the budget of "
+            f"{candidates} candidate edges exceed the budget of "
             f"{config.max_candidate_edges}"
         )
     spanner = next(terminal_spanners(host, config.max_subsets), None)

@@ -6,20 +6,24 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Eight references are earlier versions of a library routine, kept so a
+Ten references are earlier versions of a library routine, kept so a
 faster or flatter rewrite can be checked against them exactly: the
 restart-loop prune, the one-sweep-per-edge prune, the plain subset loop of
 the spanner search, the recursive deviation search and the per-edge greedy
 loop (these four do use the library's reach kernel), the ownership sweep that
-verifies every assignment in full, the nested-loop forbidden-structure scan
-and the recursive increasing-path walk of the dense-cycle checks.
+verifies every assignment in full, the nested-loop forbidden-structure scan,
+the recursive increasing-path walk of the dense-cycle checks, the instance
+writer that hands the canonical dict to ``json.dumps`` and the random host
+built from one checked time edge per label.
 
 ``call_under_a_low_recursion_limit`` is no reference: it runs a library call
 where a search that recurses once per step would fail.
 """
 
 import itertools
+import json
 import math
+import random
 import sys
 
 from tempo_ncg import (
@@ -35,10 +39,12 @@ from tempo_ncg import (
     TimeEdge,
     Verdict,
     edge_needers,
+    instance_to_dict,
     is_nash_equilibrium,
     is_terminal_spanner,
     necessary_terminals,
     realized_graph,
+    validate_and_normalize_host,
 )
 from tempo_ncg.core import (
     group_by_label,
@@ -539,3 +545,25 @@ def oracle_find_forbidden_structure(s, host, necessary_fn=None):
                                             e1x=e1x, e1y=e1y, e2x=e2x, e2y=e2y,
                                         )
     return None
+
+
+def oracle_dumps_instance(instance):
+    """The instance text as the JSON encoder writes the canonical dict."""
+    return json.dumps(instance_to_dict(instance), indent=2, ensure_ascii=False) + "\n"
+
+
+def oracle_random_host(n, k, seed, max_label=None, extra_label_prob=0.0):
+    """``random_host`` as one checked ``TimeEdge`` per label, regrouped by the
+    checked ``TemporalGraph`` constructor (same seeded draws, same order)."""
+    rng = random.Random(seed)
+    width = len(str(n - 1)) if n > 1 else 1
+    nodes = [f"n{i:0{width}d}" for i in range(n)]
+    cap = max_label if max_label is not None else n
+    edges = []
+    for a, b in itertools.combinations(nodes, 2):
+        labels = {rng.randint(1, cap)}
+        while rng.random() < extra_label_prob:
+            labels.add(rng.randint(1, cap))
+        edges.extend(TimeEdge(a, b, label) for label in labels)
+    terminals = rng.sample(nodes, k)
+    return validate_and_normalize_host(TemporalGraph(nodes, edges), terminals)

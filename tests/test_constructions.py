@@ -46,6 +46,7 @@ from oracles import (
     call_under_a_low_recursion_limit,
     oracle_increasing_paths,
     oracle_is_ne,
+    oracle_random_host,
 )
 
 
@@ -671,6 +672,40 @@ def test_random_host_is_deterministic_and_normalized():
         used.add(e.label)
     assert used == set(range(1, a.lifetime + 1))
     assert a.terminal_count == 3
+
+
+@pytest.mark.parametrize("max_label", [None, 1, 2, 5])
+@pytest.mark.parametrize("extra_label_prob", [0.0, 0.3, 0.7])
+def test_random_host_matches_the_time_edge_construction(max_label, extra_label_prob):
+    # The pair map is filled directly; the checked TimeEdge build of the same
+    # draws gives the same graph, terminals and file bytes.
+    for n in range(1, 13):
+        for k in sorted({1, (n + 1) // 2, n}):
+            for seed in range(5):
+                got = random_host(n, k, seed, max_label, extra_label_prob)
+                want = oracle_random_host(n, k, seed, max_label, extra_label_prob)
+                assert got.graph == want.graph
+                assert list(got.graph.pairs()) == list(want.graph.pairs())
+                assert got.terminals == want.terminals
+                name = f"random-{n}-{k}-{seed}"
+                assert dumps_instance(InstanceFile(name, got)) == dumps_instance(
+                    InstanceFile(name, want)
+                )
+
+
+def test_random_host_builds_no_time_edge(monkeypatch):
+    calls = []
+    real = TimeEdge.__post_init__
+
+    def counted(edge):
+        calls.append(edge)
+        real(edge)
+
+    monkeypatch.setattr(TimeEdge, "__post_init__", counted)
+    host = random_host(12, 4, seed=3, extra_label_prob=0.3)
+    assert calls == []
+    assert oracle_random_host(12, 4, 3, extra_label_prob=0.3) == host
+    assert len(calls) == host.time_edge_count > 66
 
 
 def test_random_host_rejects_bad_sizes():

@@ -28,7 +28,7 @@ from tempo_ncg import (
     realized_graph,
     validate_and_normalize_host,
 )
-from tempo_ncg.core import group_by_label
+from tempo_ncg.core import group_by_label, label_reach_masks, terminal_bits
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 
 from oracles import brute_force_arrivals
@@ -293,6 +293,23 @@ def test_reach_blue_subgraph():
     # Dropping (v2,v3)@4 strands v3: its only remaining start is (v3,v4)@3.
     cut = blue.without_time_edge(edge("v2", "v3", 4))
     assert reach_set(cut, "v3") == {"v3", "v4"}
+
+
+def test_label_reach_masks_leave_the_start_masks_alone():
+    # Label 3 lies above every group and carries no edge, so its snapshot
+    # holds the start masks: a copy of them, not the caller's dict.
+    g = TemporalGraph(["a", "b", "c"], [edge("a", "b", 1), edge("b", "c", 2)])
+    bits = terminal_bits(g.nodes, ["a", "c"])
+    before = dict(bits)
+    masks = label_reach_masks(g.label_groups(), bits, {3})
+    assert masks == {
+        3: before,
+        2: {"a": 1, "b": 2, "c": 2},
+        1: {"a": 3, "b": 3, "c": 2},
+    }
+    assert all(snapshot is not bits for snapshot in masks.values())
+    masks[3]["a"] = 7
+    assert bits == before
 
 
 # --- spanner predicates -----------------------------------------------------

@@ -13,6 +13,7 @@ from oracles import (
     brute_force_arrivals,
     naive_min_spanner,
     oracle_cost,
+    oracle_dumps_instance,
     oracle_edge_needers,
     oracle_find_forbidden_structure,
     oracle_find_improving_response,
@@ -622,6 +623,59 @@ def instance_files(draw):
     )
     default = draw(st.none() | st.integers(min_value=1, max_value=max(host.lifetime, 1)))
     return InstanceFile(name="random", host=host, default_label=default)
+
+
+# Node ids, names and sources with every character the escaper treats
+# specially: quotes, backslashes, control characters, non-ASCII letters and
+# the JSON punctuation (commas, brackets, braces, colons).
+_ID_TEXT = st.text(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f,[]{}: aéßΩ漢\u2028😀'), min_size=1, max_size=4
+)
+
+
+@st.composite
+def written_instances(draw):
+    """Instances to write: odd node ids, a host whose pairs may equal the
+    default label, with or without a source, and a profile in either
+    setting, sometimes with no strategy at all."""
+    nodes = draw(st.lists(_ID_TEXT, min_size=1, max_size=5, unique=True))
+    edges = [
+        TimeEdge(u, v, label)
+        for u, v in _pairs(sorted(nodes))
+        for label in draw(
+            st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2, unique=True)
+        )
+    ]
+    graph = TemporalGraph(nodes, edges)
+    terminals = draw(st.lists(st.sampled_from(graph.nodes), min_size=1, unique=True))
+    host = HostGraph(graph=graph, terminals=tuple(terminals))
+    profile = None
+    if draw(st.booleans()):
+        setting = draw(st.sampled_from(Setting))
+        strategies = {}
+        for agent in draw(st.lists(st.sampled_from(graph.nodes), unique=True)):
+            offered = [
+                e for e in graph.time_edges()
+                if setting is Setting.GLOBAL or e.touches(agent)
+            ]
+            if offered:
+                strategies[agent] = frozenset(draw(st.lists(st.sampled_from(offered))))
+        profile = StrategyProfile(setting=setting, strategies=strategies)
+    return InstanceFile(
+        name=draw(_ID_TEXT),
+        host=host,
+        profile=profile,
+        source=draw(st.none() | _ID_TEXT),
+        default_label=draw(st.none() | st.integers(min_value=1, max_value=3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_instances())
+def test_the_writer_matches_the_json_encoder(inst):
+    text = dumps_instance(inst)
+    assert text == oracle_dumps_instance(inst)
+    assert dumps_instance(loads_instance(text)) == text
 
 
 @settings(max_examples=150, deadline=None)
