@@ -499,6 +499,49 @@ def removal_masks(
     return without
 
 
+def static_bridges(
+    groups: LabelGroups, bits: Mapping[NodeId, int]
+) -> tuple[dict[NodeId, int], dict[tuple[NodeId, NodeId], tuple[int, int, int]]]:
+    """Every node's preorder number in one depth-first walk over the time
+    edges of ``groups`` (``bits`` covers every node), on an explicit stack,
+    and per static bridge (Tarjan, IPL 1974) ``(lo, hi, below)``: the
+    preorder interval ``[lo, hi)`` of its far subtree and the OR of ``bits``
+    over it. A pair with two labels closes a cycle, so it is no bridge.
+    """
+    adjacency: dict[NodeId, list[tuple[NodeId, int]]] = {x: [] for x in bits}
+    for label, pairs in groups:
+        for u, v in pairs:
+            adjacency[u].append((v, label))
+            adjacency[v].append((u, label))
+    order: dict[NodeId, int] = {}
+    low: dict[NodeId, int] = {}
+    below = dict(bits)
+    bridges = {}
+    for root in bits:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        # The root is its own parent, by label 0, so it closes no bridge.
+        stack = [(root, root, 0, iter(adjacency[root]))]
+        while stack:
+            x, parent, entry, unseen = stack[-1]
+            for y, label in unseen:
+                if y not in order:
+                    order[y] = low[y] = len(order)
+                    stack.append((y, x, label, iter(adjacency[y])))
+                    break
+                if y != parent or label != entry:
+                    low[x] = min(low[x], order[y])
+            else:
+                stack.pop()
+                low[parent] = min(low[parent], low[x])
+                below[parent] |= below[x]
+                if low[x] > order[parent]:
+                    pair = _canonical_pair(x, parent)
+                    bridges[pair] = (order[x], len(order), below[x])
+    return order, bridges
+
+
 def terminal_bits(
     nodes: Iterable[NodeId], terminals: Iterable[NodeId]
 ) -> dict[NodeId, int]:

@@ -12,8 +12,9 @@ never considered by the greedy search; the exact NE search subsumes them.
 
 Every check reads one index of a profile's realized graph: its label groups,
 the terminal bits, the bought edges, those that two or more agents buy and,
-once asked for, the reach masks that price every agent and the removal
-masks (:func:`core.removal_masks`) of the greedy remove check.
+once asked for, the reach masks that price every agent, the removal
+masks (:func:`core.removal_masks`) of the greedy remove check and the static
+bridges (:func:`core.static_bridges`) of the Nash check's one-edge buyers.
 Like a validation, it is memoized on the profile outside the fields, per host
 object, so equality and pickling ignore it and copies build their own; a move
 updates its parent's bought and shared edges by the one edge and regroups,
@@ -102,6 +103,17 @@ agent also buys leaves G as it is; any other remove loses the terminals of
 ``v``'s reach mask that G without the edge misses, which the index reads
 from :func:`core.removal_masks`. So ``v``'s arrival map is propagated only
 for the add scan, when ``v`` misses a terminal.
+
+The one-edge rule: a Nash check settles a buyer ``v`` of one edge ``e``
+without a search. ``v`` reaches every terminal by then and pays (0, 1), so
+only the empty strategy is cheaper; it wins (the search's answer after 1
+state, else none after 0) exactly when ``v`` loses no terminal without
+``e``, as when another agent buys ``e`` too. If ``e``'s pair is a static
+bridge carrying one label, ``v`` keeps exactly its reach mask on its own
+side. The bridge lemma: a temporal walk that crosses a bridge must come
+back over it at a label no earlier, so cutting out that excursion keeps the
+walk temporal. One depth-first pass finds a profile's bridges in O(n + m);
+any other loss is read from the removal masks.
 """
 
 from __future__ import annotations
@@ -127,6 +139,7 @@ from .core import (
     propagate_arrivals,
     reach_masks,
     removal_masks,
+    static_bridges,
     terminal_bits,
 )
 from .errors import (
@@ -390,10 +403,21 @@ class _RealizedIndex:
     def without(self) -> Callable[[TimeEdge], dict[NodeId, int]]:
         return removal_masks(self.groups, self.bits)
 
-    def lost(self, v: NodeId, edge: TimeEdge) -> int:
+    @functools.cached_property
+    def bridges(self) -> tuple[dict[NodeId, int], dict]:
+        return static_bridges(self.groups, self.bits)
+
+    def lost(self, v: NodeId, edge: TimeEdge, bridged: bool = False) -> int:
         """Bits of the terminals ``v`` stops reaching once it drops its
-        purchase of ``edge``: none when another agent also buys it."""
-        return 0 if edge in self.shared else self.masks[v] & ~self.without(edge)[v]
+        purchase of ``edge``: none when another agent also buys it. With
+        ``bridged``, a bridge is read off :attr:`bridges` (module docstring)."""
+        if edge in self.shared:
+            return 0
+        span = self.bridges[1].get((edge.u, edge.v)) if bridged else None
+        if span is None:
+            return self.masks[v] & ~self.without(edge)[v]
+        lo, hi, below = span
+        return self.masks[v] & (~below if lo <= self.bridges[0][v] < hi else below)
 
     def moved(self, s: StrategyProfile, edge: TimeEdge) -> _RealizedIndex:
         """The index of ``s``, a profile that differs from this index's only in
@@ -742,7 +766,9 @@ def is_nash_equilibrium(
 
     Agents missing a terminal are refuted immediately with a direct-edge add.
     Of the others, agents that buy nothing already pay the least cost (0, 0)
-    and are skipped; buyers run the exact improving-response search over
+    and are skipped, and buyers of one edge are settled by the one-edge rule
+    (module docstring), which reports what their search would. Only buyers
+    of two or more edges run the exact improving-response search over
     responses of at most |S_v| - 1 edges. The verdict is inconclusive only
     if some agent's search hit the budget and no other agent was refuted
     outright; its report then names those agents.
@@ -763,9 +789,15 @@ def is_nash_equilibrium(
                 witness=witness,
                 states_examined=examined_total,
             )
-        if v not in s.strategies:
+        own = s.strategies.get(v)
+        if own is None:
             continue
-        outcome = find_improving_response(v, s, host, budget=budget)
+        if len(own) > 1:
+            outcome = find_improving_response(v, s, host, budget=budget)
+        elif index.lost(v, *own, bridged=True):
+            continue  # the one-edge rule (module docstring)
+        else:
+            outcome = SearchOutcome(response=frozenset(), exact=True, states_examined=1)
         examined_total += outcome.states_examined
         if outcome.response is not None:
             witness = DeviationWitness(agent=v, strategy=outcome.response)

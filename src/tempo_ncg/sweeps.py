@@ -17,11 +17,9 @@ of buyer need no search at all:
 
 - An agent that buys nothing already pays the least possible cost (0, 0),
   because the target spans.
-- The owner ``v`` of exactly one edge ``e`` pays (0 unreached, 1 edge), so
-  only the empty strategy could be cheaper. Without ``e`` the others' edges
-  are the target minus ``e``, and ``v`` needs ``e``, so ``v`` misses a
-  terminal. So ``v`` has no improving response: a search would return none,
-  exactly, after 0 states.
+- The owner of exactly one edge, which it needs, has no improving response
+  by the one-edge rule (``game`` module docstring): a search would return
+  none, exactly, after 0 states.
 
 A sweep searches each ``(agent, S)`` pair with two or more edges in ``S``
 once, however many assignments share it. One index of the target, with no

@@ -6,15 +6,16 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Ten references are earlier versions of a library routine, kept so a
+Eleven references are earlier versions of a library routine, kept so a
 faster or flatter rewrite can be checked against them exactly: the
 restart-loop prune, the one-sweep-per-edge prune, the plain subset loop of
 the spanner search, the recursive deviation search and the per-edge greedy
 loop (these four do use the library's reach kernel), the ownership sweep that
-verifies every assignment in full, the nested-loop forbidden-structure scan,
-the recursive increasing-path walk of the dense-cycle checks, the instance
-writer that hands the canonical dict to ``json.dumps`` and the random host
-built from one checked time edge per label.
+verifies every assignment in full, the Nash check that searches every buyer
+with the library's deviation search, the nested-loop forbidden-structure
+scan, the recursive increasing-path walk of the dense-cycle checks, the
+instance writer that hands the canonical dict to ``json.dumps`` and the
+random host built from one checked time edge per label.
 
 ``call_under_a_low_recursion_limit`` is no reference: it runs a library call
 where a search that recurses once per step would fail.
@@ -28,6 +29,8 @@ import sys
 
 from tempo_ncg import (
     CostBreakdown,
+    DeviationWitness,
+    EquilibriumKind,
     ForbiddenStructure,
     GreedyMove,
     SearchOutcome,
@@ -38,7 +41,10 @@ from tempo_ncg import (
     TemporalGraph,
     TimeEdge,
     Verdict,
+    VerificationReport,
     edge_needers,
+    equilibrium_certificates,
+    find_improving_response,
     instance_to_dict,
     is_nash_equilibrium,
     is_terminal_spanner,
@@ -52,6 +58,7 @@ from tempo_ncg.core import (
     spans_terminals,
     terminal_bits,
 )
+from tempo_ncg.game import _assert_improving, _realized_index
 
 
 def brute_force_arrivals(graph, source):
@@ -440,6 +447,53 @@ def oracle_sweep_ownership(host, target, mode, budget=None):
             equilibria.append(profile)
     return SweepResult(
         total_assignments=total, survivors=survivors, equilibria=tuple(equilibria)
+    )
+
+
+def oracle_is_nash_equilibrium(s, host, budget=None):
+    """The Nash check as first written: one ``find_improving_response`` per
+    buyer, one-edge buyers included. Same contract as
+    ``is_nash_equilibrium``."""
+    index = _realized_index(s, host)
+    bits, full, masks = index.bits, index.full, index.masks
+    examined_total = 0
+    exhausted = []
+    for v in host.nodes:
+        if masks[v] != full:
+            # Add a direct edge to the first terminal that v misses.
+            target = next(t for t in host.terminals if not masks[v] & bits[t])
+            edge = TimeEdge(v, target, host.min_label(v, target))
+            witness = DeviationWitness(agent=v, strategy=s.strategy(v) | {edge})
+            _assert_improving(witness, s, host)
+            return VerificationReport(
+                verdict=Verdict.REFUTED,
+                witness=witness,
+                states_examined=examined_total,
+            )
+        if v not in s.strategies:
+            continue
+        outcome = find_improving_response(v, s, host, budget=budget)
+        examined_total += outcome.states_examined
+        if outcome.response is not None:
+            witness = DeviationWitness(agent=v, strategy=outcome.response)
+            _assert_improving(witness, s, host)
+            return VerificationReport(
+                verdict=Verdict.REFUTED,
+                witness=witness,
+                states_examined=examined_total,
+            )
+        if not outcome.exact:
+            exhausted.append(v)
+    if exhausted:
+        return VerificationReport(
+            verdict=Verdict.INCONCLUSIVE,
+            states_examined=examined_total,
+            exhausted=tuple(exhausted),
+        )
+    return VerificationReport(
+        verdict=Verdict.EQUILIBRIUM,
+        certificates=equilibrium_certificates(s, host, kind=EquilibriumKind.NASH),
+        states_examined=examined_total,
     )
 
 

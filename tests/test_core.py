@@ -3,6 +3,7 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tempo_ncg
 from tempo_ncg import (
@@ -28,10 +29,17 @@ from tempo_ncg import (
     realized_graph,
     validate_and_normalize_host,
 )
-from tempo_ncg.core import group_by_label, label_reach_masks, terminal_bits
+from tempo_ncg.core import (
+    group_by_label,
+    label_reach_masks,
+    reach_masks,
+    removal_masks,
+    static_bridges,
+    terminal_bits,
+)
 from tempo_ncg.fixtures import fig4_instance, fig5_left_instance, fig5_right_instance
 
-from oracles import brute_force_arrivals
+from oracles import brute_force_arrivals, call_under_a_low_recursion_limit
 
 
 def edge(u, v, label):
@@ -404,3 +412,117 @@ def test_connected_components_sorted_by_min_member():
         ["a", "b", "c", "d", "e"], [("d", "e"), ("a", "c")]
     )
     assert comps == [frozenset({"a", "c"}), frozenset({"b"}), frozenset({"d", "e"})]
+
+
+# --- static bridges ---------------------------------------------------------
+
+
+def bridges_of(graph, terminals):
+    return static_bridges(graph.label_groups(), terminal_bits(graph.nodes, terminals))
+
+
+def test_every_edge_of_a_path_is_a_bridge():
+    g = TemporalGraph("abcd", [edge("a", "b", 2), edge("b", "c", 1), edge("c", "d", 3)])
+    order, bridges = bridges_of(g, ["a", "d"])
+    assert order == {"a": 0, "b": 1, "c": 2, "d": 3}
+    # Each far subtree holds ``d`` (bit 2) and none holds ``a`` (bit 1).
+    assert bridges == {
+        ("a", "b"): (1, 4, 2),
+        ("b", "c"): (2, 4, 2),
+        ("c", "d"): (3, 4, 2),
+    }
+
+
+def test_a_star_walked_from_a_leaf_has_every_edge_as_a_bridge():
+    g = TemporalGraph("abcd", [edge("a", "c", 1), edge("b", "c", 2), edge("c", "d", 1)])
+    order, bridges = bridges_of(g, ["a", "b", "d"])
+    # Neighbours are walked in label order: ``d`` (label 1) before ``b``.
+    assert order == {"a": 0, "c": 1, "d": 2, "b": 3}
+    assert bridges == {
+        ("a", "c"): (1, 4, 0b110),
+        ("c", "d"): (2, 3, 0b100),
+        ("b", "c"): (3, 4, 0b010),
+    }
+
+
+def test_a_cycle_has_no_bridge():
+    g = TemporalGraph("abc", [edge("a", "b", 1), edge("b", "c", 2), edge("a", "c", 3)])
+    order, bridges = bridges_of(g, ["a"])
+    assert sorted(order.values()) == [0, 1, 2]
+    assert bridges == {}
+
+
+def test_a_pair_with_two_labels_is_never_a_bridge():
+    g = TemporalGraph("abc", [edge("a", "b", 1), edge("a", "b", 2), edge("b", "c", 3)])
+    _, bridges = bridges_of(g, ["c"])
+    assert bridges == {("b", "c"): (2, 3, 1)}
+
+
+def test_a_disconnected_graph_numbers_every_node():
+    g = TemporalGraph("abcde", [edge("a", "b", 1), edge("d", "e", 1)])
+    order, bridges = bridges_of(g, ["b", "e"])
+    assert order == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}
+    assert bridges == {("a", "b"): (1, 2, 1), ("d", "e"): (4, 5, 2)}
+
+
+@st.composite
+def sparse_graphs_with_terminals(draw):
+    """A graph on 1 to 8 nodes whose pairs carry 0, 1 or 2 labels, sparse
+    enough to hold bridges and other components, and some of its nodes as
+    terminals."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    nodes = tuple(f"n{i}" for i in range(n))
+    rng = draw(st.randoms(use_true_random=False))
+    density = rng.choice([0.15, 0.3, 0.5])
+    edges = [
+        edge(u, v, label)
+        for i, u in enumerate(nodes)
+        for v in nodes[i + 1 :]
+        if rng.random() < density
+        for label in rng.sample(range(1, 5), rng.choice([1, 1, 2]))
+    ]
+    terminals = draw(st.sets(st.sampled_from(nodes)))
+    return TemporalGraph(nodes, edges), sorted(terminals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs_with_terminals())
+def test_a_bridge_leaves_each_node_the_reach_on_its_own_side(case):
+    """For every reported bridge and every node ``x``, the reach mask of
+    ``x`` cut to ``x``'s side of the bridge is its reach mask without the
+    bridge; and a one-label pair is reported exactly when removing it splits
+    a static component."""
+    graph, terminals = case
+    bits = terminal_bits(graph.nodes, terminals)
+    groups = graph.label_groups()
+    order, bridges = static_bridges(groups, bits)
+    assert sorted(order.values()) == list(range(graph.node_count))
+    masks = reach_masks(groups, bits)
+    without = removal_masks(groups, bits)
+    pairs = list(graph.pairs())
+    count = len(connected_components(graph.nodes, pairs))
+    for u, v in pairs:
+        labels = graph.labels(u, v)
+        rest = [pair for pair in pairs if pair != (u, v)]
+        splits = len(connected_components(graph.nodes, rest)) > count
+        splits = splits and len(labels) == 1
+        assert ((u, v) in bridges) == splits
+        if not splits:
+            continue
+        lo, hi, below = bridges[(u, v)]
+        assert (lo <= order[u] < hi) != (lo <= order[v] < hi)
+        assert below == sum(bits[x] for x in graph.nodes if lo <= order[x] < hi)
+        cut = without(edge(u, v, labels[0]))
+        for x in graph.nodes:
+            side = below if lo <= order[x] < hi else ~below
+            assert masks[x] & side == cut[x]
+
+
+def test_bridges_of_a_long_path_need_no_recursion():
+    nodes = [f"v{i:04d}" for i in range(5000)]
+    g = TemporalGraph(nodes, [edge(a, b, 1) for a, b in zip(nodes, nodes[1:])])
+    groups, bits = g.label_groups(), terminal_bits(nodes, nodes[-1:])
+    order, bridges = call_under_a_low_recursion_limit(static_bridges, groups, bits)
+    assert order == {node: i for i, node in enumerate(nodes)}
+    path = zip(nodes, nodes[1:])
+    assert bridges == {(a, b): (i + 1, 5000, 1) for i, (a, b) in enumerate(path)}

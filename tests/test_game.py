@@ -35,6 +35,7 @@ from tempo_ncg import (
     random_host,
     realized_graph,
     social_cost,
+    two_terminal_ne,
     validate_and_normalize_host,
 )
 import tempo_ncg.game
@@ -486,7 +487,27 @@ def test_nash_check_searches_only_buyers(monkeypatch):
     report = is_nash_equilibrium(inst.profile, inst.host)
     assert report.verdict is Verdict.EQUILIBRIUM
     assert len(inst.profile.buyers) < inst.host.node_count
-    assert tuple(searched) == inst.profile.buyers
+    # ``v1`` and ``v2`` buy one edge each and are settled without a search
+    # (``game`` module docstring); ``v3`` buys three.
+    assert searched == ["v3"]
+
+
+@pytest.mark.parametrize("setting", list(Setting))
+def test_a_two_terminal_nash_check_makes_no_search(monkeypatch, setting):
+    cases = []
+    for seed in range(5):
+        host = random_host(24, 2, seed)
+        cases.append((host, two_terminal_ne(host, setting)))
+    searched = []
+
+    def recording(v, s, h, budget=None):
+        searched.append(v)
+        return find_improving_response(v, s, h, budget=budget)
+
+    monkeypatch.setattr(tempo_ncg.game, "find_improving_response", recording)
+    for host, profile in cases:
+        assert is_nash_equilibrium(profile, host).verdict is Verdict.EQUILIBRIUM
+    assert searched == []
 
 
 def test_witness_self_check_rejects_a_bad_witness(monkeypatch):

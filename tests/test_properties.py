@@ -21,6 +21,7 @@ from oracles import (
     oracle_greedy_improving_response,
     oracle_greedy_witness,
     oracle_is_ge,
+    oracle_is_nash_equilibrium,
     oracle_is_minimal_spanner,
     oracle_is_spanner,
     oracle_mono_label_tree,
@@ -918,6 +919,98 @@ def test_one_edge_update_matches_a_rebuild(case, rng):
         assert all(moved.without(x) == fresh.without(x) for x in fresh.bought)
         assert moved.masks == fresh.masks
         profile, index = child, moved
+
+
+@st.composite
+def nash_cases(draw, max_n=7):
+    """A random host (n <= ``max_n``) and a profile for the Nash check:
+    ``two_terminal_ne`` in either setting, or a random profile as in
+    ``greedy_cases`` that may also buy a pair at two labels. Half of the
+    random profiles then go through greedy dynamics, which leaves many
+    one-edge buyers that need their edge."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    two_terminal = draw(st.booleans())
+    host = random_host(
+        n,
+        2 if two_terminal else draw(st.integers(min_value=1, max_value=n)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+        max_label=draw(st.sampled_from([None, 2, 3])),
+        extra_label_prob=draw(st.sampled_from([0.0, 0.3])),
+    )
+    setting = draw(st.sampled_from(list(Setting)))
+    if two_terminal:
+        return host, two_terminal_ne(host, setting)
+    rng = draw(st.randoms(use_true_random=False))
+    strategies = {}
+    for v in host.nodes:
+        density = rng.choice([0.0, 0.05, 0.15, 0.3])
+        strategies[v] = {
+            e
+            for e in host.sorted_time_edges
+            if (setting is Setting.GLOBAL or e.touches(v)) and rng.random() < density
+        }
+    for v in host.nodes:
+        # Buy another agent's pair now and then, at its label or another.
+        if rng.random() < 0.25:
+            pool = sorted(
+                e
+                for agent, edges in strategies.items()
+                if agent != v
+                for e in edges
+                if setting is Setting.GLOBAL or e.touches(v)
+            )
+            if pool:
+                e = rng.choice(pool)
+                strategies[v].add(TimeEdge(e.u, e.v, rng.choice(host.labels(e.u, e.v))))
+    profile = StrategyProfile(setting, strategies)
+    if draw(st.booleans()):
+        profile = greedy_dynamics(profile, host, max_rounds=10).profile
+    return host, profile
+
+
+def _two_terminal_core_case(labels, setting):
+    """``two_terminal_ne`` on the smallest host of one core (the four
+    ``test_two_terminal_core_on_its_smallest_host`` hosts)."""
+    edges = [TimeEdge(a, b, label) for (a, b), label in labels.items()]
+    nodes = sorted({*"".join(labels)})
+    host = validate_and_normalize_host(TemporalGraph(nodes, edges), ("a", "b"))
+    return host, two_terminal_ne(host, setting)
+
+
+_CORE_HOSTS = {
+    "pair": {"ab": 1},
+    "tie": {"ab": 1, "ac": 2, "bc": 2},
+    "bridge": {"ab": 1, "ac": 2, "bc": 3},
+    # The ring's four core edges are one-edge buys that are not bridges.
+    "ring": {"ab": 1, "ac": 1, "ad": 3, "bc": 2, "bd": 2, "cd": 2},
+}
+
+
+def assert_the_nash_check_matches_the_per_buyer_oracle(case):
+    host, profile = case
+    for budget in (None, 1, 3):
+        want = oracle_is_nash_equilibrium(copy.copy(profile), host, budget=budget)
+        assert is_nash_equilibrium(copy.copy(profile), host, budget=budget) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(nash_cases())
+@example(_two_terminal_core_case(_CORE_HOSTS["pair"], Setting.GLOBAL))
+@example(_two_terminal_core_case(_CORE_HOSTS["tie"], Setting.LOCAL))
+@example(_two_terminal_core_case(_CORE_HOSTS["bridge"], Setting.GLOBAL))
+@example(_two_terminal_core_case(_CORE_HOSTS["ring"], Setting.LOCAL))
+@example(_two_terminal_core_case(_CORE_HOSTS["ring"], Setting.GLOBAL))
+def test_the_nash_check_matches_the_per_buyer_oracle(case):
+    """Same report (verdict, witness, states, exhausted agents and
+    certificates) as searching every buyer, with and without a budget."""
+    assert_the_nash_check_matches_the_per_buyer_oracle(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(nash_cases(max_n=12))
+def test_the_nash_check_matches_the_per_buyer_oracle_on_larger_hosts(case):
+    assert_the_nash_check_matches_the_per_buyer_oracle(case)
 
 
 @settings(max_examples=150, deadline=None)
