@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Reversible, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -232,10 +233,10 @@ class TemporalGraph:
     def label_groups(self) -> LabelGroups:
         """Pairs grouped by ascending label from the pair map, in order; cached."""
         if self._groups is None:
-            by_label: dict[int, list[tuple[NodeId, NodeId]]] = {}
+            by_label: defaultdict[int, list[tuple[NodeId, NodeId]]] = defaultdict(list)
             for pair, labels in self._labels.items():
                 for label in labels:
-                    by_label.setdefault(label, []).append(pair)
+                    by_label[label].append(pair)
             self._groups = tuple(
                 (label, tuple(by_label[label])) for label in sorted(by_label)
             )

@@ -8,9 +8,18 @@ hosts (a pair with no labels and no default), unknown schema versions, and
 node ids containing the reserved "|" separator. parse and emit are mutually
 inverse on canonical files.
 
-Each label is validated once, as it is read, and the host graph is built
-from the checked pairs by the trusted ``TemporalGraph._from_labels``; the
-pairs are sorted only when the file lists them out of canonical order.
+A file that lists every node pair in canonical order, as the writer does
+when no default label is set, is checked over the whole edge object at
+once: one comparison of its keys with the joined canonical pairs, then
+set, ``all`` and ``min`` calls over the label lists. The only per-pair
+Python left builds label tuples, and only for a pair with several labels.
+Any other file is read one key at a time, validating each label as it is
+read, filling unlisted pairs with the default and sorting the pairs only
+when they are listed out of order. The whole-map checks raise nothing: a
+file that fails one goes to the loop, so every error keeps the type,
+message and precedence of the first bad key or label. Either way the host
+graph is built from the checked pairs by the trusted
+``TemporalGraph._from_labels``.
 
 Emit writes the canonical text directly, in one pass over the graph's pair
 map and the sorted strategies: the exact bytes of ``json.dumps`` with
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, combinations
 from pathlib import Path
 
 from .core import HostGraph, NodeId, TemporalGraph, TimeEdge
@@ -127,40 +137,13 @@ def instance_from_dict(data: dict) -> InstanceFile:
     if not all(isinstance(node, str) for node in nodes + terminals):
         raise ValueError("node and terminal ids must be strings")
     node_set = set(nodes)
-    listed: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
     raw_edges = host_data.get("edges", {})
     if not isinstance(raw_edges, dict):
         raise ValueError("host edges must map 'u|v' keys to label lists")
-    for key, labels in raw_edges.items():
-        parts = key.split(PAIR_SEPARATOR)
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ValueError(f"edge key {key!r} is not of the form 'u|v'")
-        u, v = parts
-        if u >= v:
-            raise ValueError(f"edge key {key!r} must order its nodes u < v")
-        if u not in node_set or v not in node_set:
-            raise ValueError(f"edge key {key!r} uses a node outside the node list")
-        if not isinstance(labels, list) or not labels:
-            raise ValueError(f"edge {key!r} needs a nonempty label list")
-        for label in labels:
-            if type(label) is not int or label < 1:
-                TimeEdge(u, v, label)  # raises the time edge's own error
-        listed[u, v] = tuple(labels) if len(labels) == 1 else tuple(sorted(set(labels)))
     sorted_nodes = tuple(sorted(node_set))
-    if len(listed) < len(sorted_nodes) * (len(sorted_nodes) - 1) // 2:
-        for i, u in enumerate(sorted_nodes):
-            for v in sorted_nodes[i + 1 :]:
-                if (u, v) in listed:
-                    continue
-                if default_label is None:
-                    raise IncompleteHost(
-                        f"pair ({u!r}, {v!r}) has no labels and no default_label is set"
-                    )
-                listed[(u, v)] = (default_label,)
-    if "" in node_set:
-        raise UnknownNode("node ids must be nonempty strings, got ''")
-    if list(listed) != sorted(listed):
-        listed = dict(sorted(listed.items()))
+    listed = _whole_map(raw_edges, sorted_nodes)
+    if listed is None:
+        listed = _pairs_by_key(raw_edges, node_set, sorted_nodes, default_label)
     graph = TemporalGraph._from_labels(sorted_nodes, listed)
     host = HostGraph(graph=graph, terminals=tuple(terminals))
     profile = None
@@ -193,6 +176,76 @@ def instance_from_dict(data: dict) -> InstanceFile:
         source=source,
         default_label=default_label,
     )
+
+
+def _whole_map(
+    raw_edges: dict, sorted_nodes: tuple[NodeId, ...]
+) -> dict[tuple[NodeId, NodeId], tuple[int, ...]] | None:
+    """The pair map of an edge object that lists every node pair in canonical
+    order with valid labels, checked over the whole map at once; None for
+    any other edge object, which :func:`_pairs_by_key` then reads."""
+    # An empty id or one holding the separator could still join to
+    # canonical-looking keys, which the per-key split rejects.
+    if "" in sorted_nodes or PAIR_SEPARATOR in "".join(sorted_nodes):
+        return None
+    pairs = list(combinations(sorted_nodes, 2))
+    if list(raw_edges) != list(map(PAIR_SEPARATOR.join, pairs)):
+        return None
+    values = list(raw_edges.values())
+    if set(map(type, values)) != {list} or not all(values):
+        return None
+    flat = list(chain.from_iterable(values))
+    # type() is exact, so a bool label (an int subclass) goes to the loop.
+    if set(map(type, flat)) != {int} or min(flat) < 1:
+        return None
+    if len(flat) == len(values):
+        return dict(zip(pairs, map(tuple, values)))
+    return {
+        pair: tuple(labels) if len(labels) == 1 else tuple(sorted(set(labels)))
+        for pair, labels in zip(pairs, values)
+    }
+
+
+def _pairs_by_key(
+    raw_edges: dict,
+    node_set: set[NodeId],
+    sorted_nodes: tuple[NodeId, ...],
+    default_label: int | None,
+) -> dict[tuple[NodeId, NodeId], tuple[int, ...]]:
+    """The pair map of any edge object, read one key at a time, with the
+    default label filling the unlisted pairs; raises on the first bad key,
+    label or missing pair."""
+    listed: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
+    for key, labels in raw_edges.items():
+        parts = key.split(PAIR_SEPARATOR)
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ValueError(f"edge key {key!r} is not of the form 'u|v'")
+        u, v = parts
+        if u >= v:
+            raise ValueError(f"edge key {key!r} must order its nodes u < v")
+        if u not in node_set or v not in node_set:
+            raise ValueError(f"edge key {key!r} uses a node outside the node list")
+        if not isinstance(labels, list) or not labels:
+            raise ValueError(f"edge {key!r} needs a nonempty label list")
+        for label in labels:
+            if type(label) is not int or label < 1:
+                TimeEdge(u, v, label)  # raises the time edge's own error
+        listed[u, v] = tuple(labels) if len(labels) == 1 else tuple(sorted(set(labels)))
+    if len(listed) < len(sorted_nodes) * (len(sorted_nodes) - 1) // 2:
+        for i, u in enumerate(sorted_nodes):
+            for v in sorted_nodes[i + 1 :]:
+                if (u, v) in listed:
+                    continue
+                if default_label is None:
+                    raise IncompleteHost(
+                        f"pair ({u!r}, {v!r}) has no labels and no default_label is set"
+                    )
+                listed[(u, v)] = (default_label,)
+    if "" in node_set:
+        raise UnknownNode("node ids must be nonempty strings, got ''")
+    if list(listed) != sorted(listed):
+        listed = dict(sorted(listed.items()))
+    return listed
 
 
 def _block(items: list[str], depth: int, brackets: str = "[]") -> str:

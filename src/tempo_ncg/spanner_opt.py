@@ -69,16 +69,12 @@ def mono_label_spanning_tree(host: HostGraph) -> TemporalGraph | None:
     Such a tree is a terminal spanner with exactly n - 1 time edges (within
     one label group every node reaches every other), meeting the universal
     lower bound; its existence settles the optimum without enumeration. Scans
-    the labels of the host's pair -> labels map ascending, building no time
-    edge, and runs Kruskal on each group of at least n - 1 pairs; it joins
+    the host's label groups ascending, which hold pairs, so no time edge is
+    built, and runs Kruskal on each group of at least n - 1 pairs; it joins
     n - 1 of them (the canonical tree) exactly when the label connects V.
     """
     need = host.node_count - 1
-    by_label: dict[int, list[tuple[NodeId, NodeId]]] = {}
-    for pair, labels in host.graph._labels.items():
-        for label in labels:
-            by_label.setdefault(label, []).append(pair)
-    for label, pairs in sorted(by_label.items()):
+    for label, pairs in host.graph.label_groups():
         if len(pairs) >= need:
             kept, _ = kruskal(host.nodes, pairs)
             if len(kept) == need:

@@ -6,7 +6,7 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Eleven references are earlier versions of a library routine, kept so a
+Twelve references are earlier versions of a library routine, kept so a
 faster or flatter rewrite can be checked against them exactly: the
 restart-loop prune, the one-sweep-per-edge prune, the plain subset loop of
 the spanner search, the recursive deviation search and the per-edge greedy
@@ -14,8 +14,9 @@ loop (these four do use the library's reach kernel), the ownership sweep that
 verifies every assignment in full, the Nash check that searches every buyer
 with the library's deviation search, the nested-loop forbidden-structure
 scan, the recursive increasing-path walk of the dense-cycle checks, the
-instance writer that hands the canonical dict to ``json.dumps`` and the
-random host built from one checked time edge per label.
+instance writer that hands the canonical dict to ``json.dumps``, the
+instance parser that reads the edge object one key at a time and the random
+host built from one checked time edge per label.
 
 ``call_under_a_low_recursion_limit`` is no reference: it runs a library call
 where a search that recurses once per step would fail.
@@ -33,6 +34,10 @@ from tempo_ncg import (
     EquilibriumKind,
     ForbiddenStructure,
     GreedyMove,
+    HostGraph,
+    IncompleteHost,
+    InstanceFile,
+    NodeId,
     SearchOutcome,
     SearchTooLarge,
     Setting,
@@ -40,6 +45,7 @@ from tempo_ncg import (
     SweepResult,
     TemporalGraph,
     TimeEdge,
+    UnknownNode,
     Verdict,
     VerificationReport,
     edge_needers,
@@ -59,6 +65,7 @@ from tempo_ncg.core import (
     terminal_bits,
 )
 from tempo_ncg.game import _assert_improving, _realized_index
+from tempo_ncg.instance_io import PAIR_SEPARATOR, SCHEMA_VERSION, _check_fields
 
 
 def brute_force_arrivals(graph, source):
@@ -604,6 +611,98 @@ def oracle_find_forbidden_structure(s, host, necessary_fn=None):
 def oracle_dumps_instance(instance):
     """The instance text as the JSON encoder writes the canonical dict."""
     return json.dumps(instance_to_dict(instance), indent=2, ensure_ascii=False) + "\n"
+
+
+def oracle_instance_from_dict(data: dict) -> InstanceFile:
+    """Parse and validate the canonical dict form.
+
+    Raises:
+        ValueError: unknown schema version, malformed keys or types, bad ids.
+        IncompleteHost: a node pair has no labels and no default applies.
+    """
+    # JSON true and 1.0 both compare equal to the int 1, so the type is checked.
+    version = data.get("v") if isinstance(data, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"expected schema version {SCHEMA_VERSION}")
+    host_data = data.get("host")
+    if not isinstance(host_data, dict):
+        raise ValueError("instance needs a host object")
+    name, source = data.get("name"), data.get("source")
+    default_label = host_data.get("default_label")
+    _check_fields(name, source, default_label)  # before the default fills pairs
+    nodes = host_data.get("nodes")
+    terminals = host_data.get("terminals")
+    if not isinstance(nodes, list) or not isinstance(terminals, list):
+        raise ValueError("host needs node and terminal lists")
+    if not all(isinstance(node, str) for node in nodes + terminals):
+        raise ValueError("node and terminal ids must be strings")
+    node_set = set(nodes)
+    listed: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
+    raw_edges = host_data.get("edges", {})
+    if not isinstance(raw_edges, dict):
+        raise ValueError("host edges must map 'u|v' keys to label lists")
+    for key, labels in raw_edges.items():
+        parts = key.split(PAIR_SEPARATOR)
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ValueError(f"edge key {key!r} is not of the form 'u|v'")
+        u, v = parts
+        if u >= v:
+            raise ValueError(f"edge key {key!r} must order its nodes u < v")
+        if u not in node_set or v not in node_set:
+            raise ValueError(f"edge key {key!r} uses a node outside the node list")
+        if not isinstance(labels, list) or not labels:
+            raise ValueError(f"edge {key!r} needs a nonempty label list")
+        for label in labels:
+            if type(label) is not int or label < 1:
+                TimeEdge(u, v, label)  # raises the time edge's own error
+        listed[u, v] = tuple(labels) if len(labels) == 1 else tuple(sorted(set(labels)))
+    sorted_nodes = tuple(sorted(node_set))
+    if len(listed) < len(sorted_nodes) * (len(sorted_nodes) - 1) // 2:
+        for i, u in enumerate(sorted_nodes):
+            for v in sorted_nodes[i + 1 :]:
+                if (u, v) in listed:
+                    continue
+                if default_label is None:
+                    raise IncompleteHost(
+                        f"pair ({u!r}, {v!r}) has no labels and no default_label is set"
+                    )
+                listed[(u, v)] = (default_label,)
+    if "" in node_set:
+        raise UnknownNode("node ids must be nonempty strings, got ''")
+    if list(listed) != sorted(listed):
+        listed = dict(sorted(listed.items()))
+    graph = TemporalGraph._from_labels(sorted_nodes, listed)
+    host = HostGraph(graph=graph, terminals=tuple(terminals))
+    profile = None
+    profile_data = data.get("profile")
+    if profile_data is not None:
+        if not isinstance(profile_data, dict):
+            raise ValueError("profile must be an object")
+        setting = Setting(profile_data.get("setting"))
+        raw_strategies = profile_data.get("strategies", {})
+        if not isinstance(raw_strategies, dict):
+            raise ValueError("profile strategies must map agents to edge lists")
+        strategies: dict[NodeId, frozenset[TimeEdge]] = {}
+        for agent, triples in raw_strategies.items():
+            if not isinstance(triples, list):
+                raise ValueError(f"strategy of {agent!r} is not a list of edges")
+            bought = set()
+            for triple in triples:
+                if not isinstance(triple, list) or len(triple) != 3:
+                    raise ValueError(f"strategy edge {triple!r} is not [u, v, label]")
+                u, v, label = triple
+                if not isinstance(u, str) or not isinstance(v, str):
+                    raise ValueError(f"strategy edge {triple!r} needs string endpoints")
+                bought.add(TimeEdge(u, v, label))
+            strategies[agent] = frozenset(bought)
+        profile = StrategyProfile(setting=setting, strategies=strategies)
+    return InstanceFile(
+        name=name,
+        host=host,
+        profile=profile,
+        source=source,
+        default_label=default_label,
+    )
 
 
 def oracle_random_host(n, k, seed, max_label=None, extra_label_prob=0.0):

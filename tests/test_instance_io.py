@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import tempo_ncg.instance_io
+from oracles import oracle_instance_from_dict
 from tempo_ncg import (
     IncompleteHost,
     InstanceFile,
@@ -314,20 +316,108 @@ def _substituted(data, path, value):
     return data
 
 
+def _assert_parses_as_the_oracle(data):
+    """The parser raises the per-key oracle's exception class and message,
+    or returns the oracle's instance, pair order and bytes."""
+    try:
+        want = oracle_instance_from_dict(data)
+    except (ValueError, TemporalGameError) as exc:
+        with pytest.raises(type(exc)) as got:
+            instance_from_dict(data)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return None
+    inst = instance_from_dict(data)
+    assert inst == want
+    assert list(inst.host.graph._labels) == list(want.host.graph._labels)
+    assert dumps_instance(inst) == dumps_instance(want)
+    return inst
+
+
 @pytest.mark.parametrize("name", ["fig4", "fig5-right"])
 def test_single_substitutions_raise_only_input_errors(name):
     # Every malformed variant ends in ValueError or TemporalGameError (the
-    # CLI's exit 2), never in another exception; valid ones still round-trip.
-    # fig5-right carries the default_label shorthand.
+    # CLI's exit 2), never in another exception, and in the per-key oracle's
+    # own error; valid ones parse as the oracle does and still round-trip.
+    # fig4 lists every pair, so its valid variants take the whole-map path;
+    # fig5-right carries the default_label shorthand, read key by key.
     data = instance_to_dict(get_fixture(name))
     data["source"] = "fixture"
     count = 0
     for path, value in _substitutions(data):
         variant = _substituted(data, path, value)
         count += 1
-        try:
-            inst = instance_from_dict(variant)
-        except (ValueError, TemporalGameError):
-            continue
-        assert loads_instance(dumps_instance(inst)) == inst
+        inst = _assert_parses_as_the_oracle(variant)
+        if inst is not None:
+            assert loads_instance(dumps_instance(inst)) == inst
     assert count > 500
+
+
+def _listed_host(nodes, edges):
+    return {"v": 1, "name": "x", "host": {"nodes": nodes, "terminals": nodes[:1], "edges": edges}}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # Keys that join the sorted node ids in canonical order, but split
+        # into more or fewer than two nonempty ids.
+        _listed_host(["a|b", "c"], {"a|b|c": [1]}),
+        _listed_host(["", "a"], {"|a": [1]}),
+        _listed_host(["", "a", "b"], {"|a": [1], "|b": [1], "a|b": [1]}),
+        # Canonical keys with one label that is not a positive int.
+        _listed_host(["a", "b", "c"], {"a|b": [1], "a|c": [True], "b|c": [2]}),
+        _listed_host(["a", "b", "c"], {"a|b": [1, False], "a|c": [1], "b|c": [2]}),
+        _listed_host(["a", "b"], {"a|b": [1.0]}),
+        _listed_host(["a", "b"], {"a|b": [0]}),
+        _listed_host(["a", "b"], {"a|b": [[1]]}),
+        _listed_host(["a", "b"], {"a|b": (1,)}),
+    ],
+    ids=[
+        "separator-in-id", "empty-id-pair", "empty-id", "true-label", "false-label",
+        "float-label", "zero-label", "nested-label", "tuple-labels",
+    ],
+)
+def test_canonical_looking_files_fail_as_the_oracle_does(data):
+    with pytest.raises((ValueError, TemporalGameError)):
+        instance_from_dict(data)
+    _assert_parses_as_the_oracle(data)
+
+
+def test_written_files_skip_the_per_key_loop(monkeypatch):
+    # dumps_instance lists every pair in canonical order when no default
+    # label is set, so the whole-map checks accept its output.
+    instances = [
+        InstanceFile(name="random", host=random_host(n, 3, seed, max_label=2))
+        for n in (12, 13, 14)
+        for seed in range(3)
+    ]
+    host, profile = hypercube_equilibrium(5)
+    instances.append(InstanceFile(name="hypercube", host=host, profile=profile))
+    calls = []
+    real = tempo_ncg.instance_io._pairs_by_key
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tempo_ncg.instance_io, "_pairs_by_key", counted)
+    for inst in instances:
+        text = dumps_instance(inst)
+        parsed = loads_instance(text)
+        assert parsed == inst
+        assert dumps_instance(parsed) == text
+    assert calls == []
+
+    # Shuffled keys and the default_label shorthand take the loop.
+    inst = instances[0]
+    text = dumps_instance(inst)
+    data = json.loads(text)
+    data["host"]["edges"] = dict(reversed(data["host"]["edges"].items()))
+    assert dumps_instance(instance_from_dict(data)) == text
+    assert len(calls) == 1
+    short = dataclasses.replace(inst, default_label=1)
+    text = dumps_instance(short)
+    assert len(json.loads(text)["host"]["edges"]) < 66
+    assert dumps_instance(loads_instance(text)) == text
+    assert len(calls) == 2

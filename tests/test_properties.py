@@ -20,6 +20,7 @@ from oracles import (
     oracle_greedy_dynamics,
     oracle_greedy_improving_response,
     oracle_greedy_witness,
+    oracle_instance_from_dict,
     oracle_is_ge,
     oracle_is_nash_equilibrium,
     oracle_is_minimal_spanner,
@@ -702,6 +703,50 @@ def test_parse_and_label_groups_match_the_checked_constructor(inst, rng):
     assert shuffled == want
     assert list(shuffled.pairs()) == list(want.pairs())
     assert shuffled.label_groups() == want.label_groups()
+
+
+@st.composite
+def parser_inputs(draw):
+    """Instance dicts for the parser: a drawn instance file, sometimes with
+    a profile in either setting, its edge keys sometimes shuffled and some
+    label lists sometimes unsorted and with repeats."""
+    inst = draw(instance_files())
+    if draw(st.booleans()):
+        setting = draw(st.sampled_from(Setting))
+        strategies = {}
+        for agent in draw(st.lists(st.sampled_from(inst.host.nodes), unique=True)):
+            offered = [
+                e for e in inst.host.time_edges()
+                if setting is Setting.GLOBAL or e.touches(agent)
+            ]
+            if offered:
+                strategies[agent] = frozenset(draw(st.lists(st.sampled_from(offered))))
+        inst = dataclasses.replace(
+            inst, profile=StrategyProfile(setting=setting, strategies=strategies)
+        )
+    data = instance_to_dict(inst)
+    edges = list(data["host"]["edges"].items())
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        edges = [
+            (key, rng.sample(labels + labels[:1], len(labels) + 1))
+            if rng.random() < 0.5 else (key, labels)
+            for key, labels in edges
+        ]
+    data["host"]["edges"] = dict(edges)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(parser_inputs())
+def test_the_parser_matches_the_per_key_oracle(data):
+    want = oracle_instance_from_dict(data)
+    got = instance_from_dict(data)
+    assert got == want
+    assert list(got.host.graph._labels) == list(want.host.graph._labels)
+    assert dumps_instance(got) == dumps_instance(want)
 
 
 @st.composite

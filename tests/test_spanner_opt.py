@@ -29,6 +29,7 @@ from tempo_ncg import (
     validate_and_normalize_host,
 )
 import oracles
+import tempo_ncg.core
 import tempo_ncg.spanner_opt
 from tempo_ncg.core import kruskal
 from tempo_ncg.fixtures import fig4_instance
@@ -91,13 +92,22 @@ def test_mono_label_scan_skips_groups_too_short_to_span(monkeypatch):
     assert calls == [1]
 
 
-def test_mono_label_scan_builds_no_label_groups():
-    # The scan reads the host's pair -> labels map: no time edge is built for
-    # the host, only for the returned tree.
+def test_mono_label_scan_builds_no_time_edge(monkeypatch):
+    # The scan reads the host's label groups, which hold pairs: no time edge
+    # is built, for the host or for the returned tree.
     host = random_host(13, 3, seed=4, max_label=2)
+    calls = []
+    real = tempo_ncg.core._trusted_edge
+
+    def counted(u, v, label):
+        calls.append((u, v, label))
+        return real(u, v, label)
+
+    monkeypatch.setattr(tempo_ncg.core, "_trusted_edge", counted)
     tree = mono_label_spanning_tree(host)
     assert tree is not None
-    assert host.graph._groups is None
+    assert calls == []
+    assert len(list(tree.time_edges())) == len(calls) == 12
 
 
 def test_union_find_reads_no_pair_after_the_last_join(monkeypatch):
@@ -378,10 +388,10 @@ def test_prune_reads_the_pair_map_and_rebuilds_a_canonical_graph():
 
 def test_spanner_walk_reads_the_pair_map_and_rebuilds_canonical_graphs():
     host = random_host(6, 3, seed=9)
-    assert mono_label_spanning_tree(host) is None
     spanners = take_spanners(terminal_spanners(host, 10**6), 3)
     assert host.graph._groups is None
     assert "sorted_time_edges" not in vars(host)
+    assert mono_label_spanning_tree(host) is None
     for spanner in spanners:
         checked = TemporalGraph(host.nodes, spanner.time_edges())
         assert spanner == checked
