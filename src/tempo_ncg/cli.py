@@ -233,20 +233,15 @@ def verify(instance, kind, budget, fmt) -> None:
 @click.option("--mode", type=click.Choice([s.value for s in Setting]), required=True)
 @click.option("--expected", type=int, help="expected equilibrium count")
 @click.option("--budget", type=int, help="cap on surviving assignments")
-@click.option("--workers", type=int, default=1, show_default=True)
-def sweep(instance, mode, expected, budget, workers) -> None:
+def sweep(instance, mode, expected, budget) -> None:
     """Enumerate ownerships of the profile's realized graph and verify each."""
     if budget is not None and budget < 1:
         _fail_usage("search budgets must be positive")
-    if workers < 1:
-        _fail_usage("--workers must be positive")
     inst = _load_or_die(instance)
     profile = _require_profile(inst)
     target = realized_graph(profile, inst.host)
     try:
-        result = sweep_ownership(
-            inst.host, target, Setting(mode), budget=budget, workers=workers
-        )
+        result = sweep_ownership(inst.host, target, Setting(mode), budget=budget)
     except SearchTooLarge as exc:
         _fail_usage(str(exc))
     click.echo(json.dumps({

@@ -157,6 +157,8 @@ def instance_from_dict(data: dict) -> InstanceFile:
             raise ValueError("profile strategies must map agents to edge lists")
         strategies: dict[NodeId, frozenset[TimeEdge]] = {}
         for agent, triples in raw_strategies.items():
+            if not isinstance(agent, str):
+                raise ValueError(f"strategy agent {agent!r} is not a string id")
             if not isinstance(triples, list):
                 raise ValueError(f"strategy of {agent!r} is not a list of edges")
             bought = set()
@@ -217,7 +219,7 @@ def _pairs_by_key(
     label or missing pair."""
     listed: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
     for key, labels in raw_edges.items():
-        parts = key.split(PAIR_SEPARATOR)
+        parts = key.split(PAIR_SEPARATOR) if isinstance(key, str) else ()
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ValueError(f"edge key {key!r} is not of the form 'u|v'")
         u, v = parts

@@ -25,20 +25,16 @@ A sweep searches each ``(agent, S)`` pair with two or more edges in ``S``
 once, however many assignments share it. One index of the target, with no
 edge bought twice, serves every assignment, and none is validated on its
 own: the sweep checks the target's edges against the host, and each owner
-is an end of its edge (local) or a host node (global).
-
-Each check cuts its assignments as a slice of the lazy product of the
-per-edge owner choices, so no process lists the survivors: a serial sweep
-checks one slice over all of them, and worker processes get slice bounds.
+is an end of its edge (local) or a host node (global). One serial walk
+fixes the owner of one edge with two or more choices per level, decides an
+agent at the last such edge it may own (at the root if none) and cuts every
+assignment below an unstable set: backtracking with forward checking
+(Haralick and Elliott, Artificial Intelligence 14, 1980), in product order.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -81,7 +77,7 @@ class SweepResult:
 
 
 def _profile_from_owners(
-    setting: Setting, edges: tuple[TimeEdge, ...], owners: tuple[NodeId, ...]
+    setting: Setting, edges: tuple[TimeEdge, ...], owners: list[NodeId]
 ) -> StrategyProfile:
     strategies: dict[NodeId, set[TimeEdge]] = {}
     for owner, edge in zip(owners, edges):
@@ -89,44 +85,67 @@ def _profile_from_owners(
     return StrategyProfile(setting=setting, strategies=strategies)
 
 
-def _verify_chunk(
+def _verify_walk(
     host: HostGraph,
     setting: Setting,
     edges: tuple[TimeEdge, ...],
     choices: list[tuple[NodeId, ...]],
-    start: int,
-    size: int,
 ) -> list[StrategyProfile]:
-    """The equilibria among assignments ``start`` to ``start + size`` of the
-    lazy product of the per-edge owner ``choices``, in order.
-
-    ``edges`` reach every terminal from every host node, so an assignment
-    is an equilibrium exactly when no buyer has an improving response.
-    Owners of one edge are stable, and each owner of two or more edges is
-    searched once per own set (module docstring). The slice shares one
-    index of ``edges``.
-    """
+    """The equilibria among the assignments of the owner ``choices``, in the
+    order of their product (module docstring). Edges not yet branched on hold
+    their first choice, so the profile probed at a node is its first leaf."""
     index = _RealizedIndex.build(host, edges)
-    stable: dict[tuple[NodeId, frozenset[TimeEdge]], bool] = {}
+    owners = [choice[0] for choice in choices]
+    branch = [i for i, choice in enumerate(choices) if len(choice) > 1]
+    may_own: dict[NodeId, list[int]] = {}
+    for i, choice in enumerate(choices):
+        for agent in choice:
+            may_own.setdefault(agent, []).append(i)
+    # due[depth]: the agents whose own sets the first ``depth`` branches fix.
+    level = {agent: depth for depth, i in enumerate(branch, 1) for agent in choices[i]}
+    due: list[list[tuple[NodeId, list[int]]]] = [[] for _ in range(len(branch) + 1)]
+    for agent, mine in may_own.items():
+        if len(mine) > 1:
+            due[level.get(agent, 0)].append((agent, mine))
+    stable: dict[tuple, bool] = {}  # keyed (agent, *indices of its own set)
     found = []
-    for owners in itertools.islice(itertools.product(*choices), start, start + size):
-        profile = _profile_from_owners(setting, edges, owners)
-        _remember(profile, host, index)
-        for agent, own in profile.strategies.items():
-            if len(own) == 1:
+    probe = None
+    stack: list[int] = []  # per fixed branch, the index of its owner choice
+    while True:
+        for agent, mine in due[len(stack)]:
+            if owners.count(agent) < 2:
                 continue
-            key = (agent, own)
+            key = (agent, *[i for i in mine if owners[i] == agent])
             if key not in stable:
-                response = find_improving_response(agent, profile, host).response
+                if probe is None:
+                    probe = _profile_from_owners(setting, edges, owners)
+                    _remember(probe, host, index)
+                response = find_improving_response(agent, probe, host).response
                 if response is not None:
-                    witness = DeviationWitness(agent=agent, strategy=response)
-                    _assert_improving(witness, profile, host)
+                    _assert_improving(DeviationWitness(agent, response), probe, host)
                 stable[key] = response is None
             if not stable[key]:
                 break
         else:
-            found.append(profile)
-    return found
+            if len(stack) < len(branch):
+                stack.append(0)  # its first child: ``owners`` is unchanged
+                continue
+            if probe is None:
+                probe = _profile_from_owners(setting, edges, owners)
+                _remember(probe, host, index)
+            found.append(probe)
+        # The next node in product order; exhausted branches reset.
+        while stack:
+            i = branch[len(stack) - 1]
+            stack[-1] += 1
+            if stack[-1] < len(choices[i]):
+                owners[i] = choices[i][stack[-1]]
+                probe = None
+                break
+            owners[i] = choices[i][0]
+            stack.pop()
+        else:
+            return found
 
 
 def sweep_ownership(
@@ -138,10 +157,8 @@ def sweep_ownership(
 ) -> SweepResult:
     """Enumerate and exactly verify all ownerships of ``target``'s edges.
 
-    Results are deterministic and canonical regardless of ``workers``. One
-    worker, one CPU or fewer than four survivors make one slice (module
-    docstring); more processes, at most one per CPU and per slice, check
-    about four slices each, merged in enumeration order.
+    Equilibria come in product order from one serial walk (module
+    docstring). ``workers`` is ignored, kept for callers that still pass it.
 
     Raises:
         PreconditionFailed: the target's nodes are not the host's, as they
@@ -160,31 +177,16 @@ def sweep_ownership(
         # Some node misses a terminal whoever owns the edges; nothing survives.
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
     needers = edge_needers(target, host.terminals)
-    choices: list[tuple[NodeId, ...]] = []
-    for edge in edges:
-        allowed = edge.pair if mode is Setting.LOCAL else host.nodes
-        choices.append(tuple(v for v in allowed if v in needers[edge]))
+    choices = [
+        tuple(filter(needers[e].__contains__, e.pair if mode is Setting.LOCAL else host.nodes))
+        for e in edges
+    ]
     survivors = math.prod(map(len, choices))
     if survivors == 0:
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
     if budget is not None and survivors > budget:
         raise SearchTooLarge(f"{survivors} surviving assignments exceed {budget}")
-    # A fork-started pool starts every worker at once: cap them by the CPUs
-    # and by the slices.
-    processes = min(workers, os.cpu_count() or 1)
-    if processes <= 1 or survivors < 4:
-        equilibria = tuple(_verify_chunk(host, mode, edges, choices, 0, survivors))
-    else:
-        size = max(1, survivors // (processes * 4))
-        starts = range(0, survivors, size)
-        verify = functools.partial(_verify_chunk, host, mode, edges, choices)
-        sizes = [min(size, survivors - start) for start in starts]
-        with ProcessPoolExecutor(min(processes, len(starts))) as pool:
-            found = pool.map(verify, starts, sizes)
-            equilibria = tuple(itertools.chain.from_iterable(found))
-    return SweepResult(
-        total_assignments=total, survivors=survivors, equilibria=equilibria
-    )
+    return SweepResult(total, survivors, tuple(_verify_walk(host, mode, edges, choices)))
 
 
 def find_nash_by_search(

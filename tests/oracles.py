@@ -6,17 +6,18 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Twelve references are earlier versions of a library routine, kept so a
+Thirteen references are earlier versions of a library routine, kept so a
 faster or flatter rewrite can be checked against them exactly: the
 restart-loop prune, the one-sweep-per-edge prune, the plain subset loop of
 the spanner search, the recursive deviation search and the per-edge greedy
 loop (these four do use the library's reach kernel), the ownership sweep that
-verifies every assignment in full, the Nash check that searches every buyer
-with the library's deviation search, the nested-loop forbidden-structure
-scan, the recursive increasing-path walk of the dense-cycle checks, the
-instance writer that hands the canonical dict to ``json.dumps``, the
-instance parser that reads the edge object one key at a time and the random
-host built from one checked time edge per label.
+verifies every assignment in full, the product loop of the ownership sweep
+that searches each owner once per own set and the Nash check that searches
+every buyer (both with the library's deviation search), the nested-loop
+forbidden-structure scan, the recursive increasing-path walk of the
+dense-cycle checks, the instance writer that hands the canonical dict to
+``json.dumps``, the instance parser that reads the edge object one key at a
+time and the random host built from one checked time edge per label.
 
 ``call_under_a_low_recursion_limit`` is no reference: it runs a library call
 where a search that recurses once per step would fail.
@@ -64,7 +65,7 @@ from tempo_ncg.core import (
     spans_terminals,
     terminal_bits,
 )
-from tempo_ncg.game import _assert_improving, _realized_index
+from tempo_ncg.game import _RealizedIndex, _assert_improving, _realized_index, _remember
 from tempo_ncg.instance_io import PAIR_SEPARATOR, SCHEMA_VERSION, _check_fields
 
 
@@ -431,7 +432,7 @@ def assert_matches_the_unbudgeted_oracle(got, want, budget):
 def oracle_sweep_ownership(host, target, mode, budget=None):
     """The ownership sweep as first written: a full ``is_nash_equilibrium``
     for every assignment that survives the needer pre-filter, with no memo.
-    Same contract as ``sweep_ownership`` with one worker."""
+    Same contract as ``sweep_ownership``."""
     edges = sorted(target.time_edges())
     total = (2 if mode is Setting.LOCAL else host.node_count) ** len(edges)
     if not is_terminal_spanner(target, host.terminals):
@@ -451,6 +452,54 @@ def oracle_sweep_ownership(host, target, mode, budget=None):
             strategies.setdefault(owner, set()).add(e)
         profile = StrategyProfile(mode, strategies)
         if is_nash_equilibrium(profile, host).verdict is Verdict.EQUILIBRIUM:
+            equilibria.append(profile)
+    return SweepResult(
+        total_assignments=total, survivors=survivors, equilibria=tuple(equilibria)
+    )
+
+
+def oracle_sweep_product(host, target, mode, budget=None):
+    """The ownership sweep as a product loop: every assignment that survives
+    the needer pre-filter is built as a profile, in the order of the lazy
+    product of the per-edge owner choices, and each owner of two or more
+    edges is searched once per own set. All profiles share one index of the
+    target. Same contract as ``sweep_ownership``."""
+    edges = tuple(target.time_edges())
+    total = (2 if mode is Setting.LOCAL else host.node_count) ** len(edges)
+    if not is_terminal_spanner(target, host.terminals):
+        return SweepResult(total_assignments=total, survivors=0, equilibria=())
+    needers = edge_needers(target, host.terminals)
+    choices = [
+        [v for v in (e.pair if mode is Setting.LOCAL else host.nodes) if v in needers[e]]
+        for e in edges
+    ]
+    survivors = math.prod(len(choice) for choice in choices)
+    if survivors == 0:
+        return SweepResult(total_assignments=total, survivors=0, equilibria=())
+    if budget is not None and survivors > budget:
+        raise SearchTooLarge(f"{survivors} surviving assignments exceed {budget}")
+    index = _RealizedIndex.build(host, edges)
+    stable = {}
+    equilibria = []
+    for owners in itertools.product(*choices):
+        strategies = {}
+        for owner, e in zip(owners, edges):
+            strategies.setdefault(owner, set()).add(e)
+        profile = StrategyProfile(mode, strategies)
+        _remember(profile, host, index)
+        for agent, own in profile.strategies.items():
+            if len(own) == 1:
+                continue
+            key = (agent, own)
+            if key not in stable:
+                response = find_improving_response(agent, profile, host).response
+                if response is not None:
+                    witness = DeviationWitness(agent=agent, strategy=response)
+                    _assert_improving(witness, profile, host)
+                stable[key] = response is None
+            if not stable[key]:
+                break
+        else:
             equilibria.append(profile)
     return SweepResult(
         total_assignments=total, survivors=survivors, equilibria=tuple(equilibria)

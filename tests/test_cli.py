@@ -6,7 +6,6 @@ import io
 import json
 import shutil
 import subprocess
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from click.testing import CliRunner
@@ -24,7 +23,6 @@ from tempo_ncg import (
 )
 import tempo_ncg.cli
 import tempo_ncg.poa
-import tempo_ncg.sweeps
 from tempo_ncg.cli import main
 from tempo_ncg.fixtures import FIXTURE_BUILDERS, get_fixture
 
@@ -429,55 +427,28 @@ def test_sweep_nonpositive_budget_is_a_usage_error(runner, tmp_path, budget):
     assert "survivors" not in result.output
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_sweep_nonpositive_workers_is_a_usage_error(runner, tmp_path, workers):
-    path = gen_file(runner, tmp_path, "forced.json", "fig4")
-    result = invoke(
-        runner, "sweep", str(path), "--mode", "global", "--workers", workers
-    )
-    assert result.exit_code == 2
-    assert result.stderr.startswith("error: ")
-    assert "--workers must be positive" in result.stderr
-    assert "survivors" not in result.output
-
-
 def test_sweep_checks_its_options_before_loading(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")
-    for flag in ("--budget", "--workers"):
-        result = invoke(runner, "sweep", str(path), "--mode", "local", flag, "0")
-        assert result.exit_code == 2
-        assert "must be positive" in result.stderr
-        assert "cannot load" not in result.stderr
+    result = invoke(runner, "sweep", str(path), "--mode", "local", "--budget", "0")
+    assert result.exit_code == 2
+    assert "must be positive" in result.stderr
+    assert "cannot load" not in result.stderr
 
 
-def test_sweep_on_two_worker_processes_prints_the_bytes_of_one(
-    runner, tmp_path, monkeypatch
-):
-    # 25 survivors on two processes make eight slices of three and a last
-    # slice of one, checked in real worker processes.
+def test_sweep_has_no_workers_option(runner, tmp_path):
+    # The sweep runs one serial walk; the retired option is a usage error.
     path = gen_file(runner, tmp_path, "two.json", "two-terminal", "--n", "5",
                     "--seed", "5")
-    started = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 2)
-    printed = []
-    for workers in ("1", "2"):
-        result = invoke(
-            runner, "sweep", str(path), "--mode", "global", "--workers", workers
-        )
-        assert result.exit_code == 0
-        printed.append(result.stdout_bytes)
-    assert started == [2]
-    assert printed[0] == printed[1]
-    data = json.loads(printed[0])
-    assert (data["survivors"], data["equilibria_found"]) == (25, 21)
+    result = invoke(
+        runner, "sweep", str(path), "--mode", "global", "--workers", "2"
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("Usage: ")
+    assert "No such option" in result.stderr and "--workers" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "survivors" not in result.output
 
 
 # -- dynamics -----------------------------------------------------------------

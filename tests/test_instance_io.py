@@ -207,6 +207,18 @@ def test_rejects_values_of_the_wrong_type(path, value):
         instance_from_dict(data)
 
 
+def test_rejects_non_string_keys_of_a_dict_built_in_code():
+    # JSON text only has string keys, but instance_from_dict takes any dict.
+    data = instance_to_dict(pair_instance())
+    data["host"]["edges"] = {1: [1]}
+    with pytest.raises(ValueError, match="edge key 1 "):
+        instance_from_dict(data)
+    data = instance_to_dict(pair_instance())
+    data["profile"]["strategies"] = {"a": [["a", "b", 1]], 1: [["a", "b", 2]]}
+    with pytest.raises(ValueError, match="strategy agent 1 "):
+        instance_from_dict(data)
+
+
 def test_rejects_empty_name_and_label_lists():
     with pytest.raises(ValueError):
         InstanceFile(name="", host=pair_instance().host)

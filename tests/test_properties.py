@@ -30,6 +30,7 @@ from oracles import (
     oracle_prune_to_minimal,
     oracle_reach,
     oracle_sweep_ownership,
+    oracle_sweep_product,
     oracle_terminal_spanners,
     take_spanners,
 )
@@ -787,6 +788,26 @@ def test_ownership_sweep_matches_the_unmemoized_oracle(case):
     budget = 200
     try:
         want = oracle_sweep_ownership(host, target, mode, budget=budget)
+    except SearchTooLarge:
+        with pytest.raises(SearchTooLarge):
+            sweep_ownership(host, target, mode, budget=budget)
+        return
+    got = sweep_ownership(host, target, mode, budget=budget)
+    assert got.total_assignments == want.total_assignments
+    assert got.survivors == want.survivors
+    assert got.equilibria == want.equilibria
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_ownership_sweep_matches_the_product_loop(case):
+    """The pruned walk returns what the product loop over every survivor
+    returns: the same counts, the same refusal and the same equilibria in
+    the same order."""
+    host, target, mode = case
+    budget = 5_000
+    try:
+        want = oracle_sweep_product(host, target, mode, budget=budget)
     except SearchTooLarge:
         with pytest.raises(SearchTooLarge):
             sweep_ownership(host, target, mode, budget=budget)

@@ -2,11 +2,16 @@
 
 import itertools
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tempo_ncg
 import tempo_ncg.game
 import tempo_ncg.sweeps
+from oracles import oracle_sweep_product
 from tempo_ncg import (
     HostGraph,
     InvalidPurchase,
@@ -20,9 +25,11 @@ from tempo_ncg import (
     edge_needers,
     find_improving_response,
     find_nash_by_search,
+    hypercube_equilibrium,
     is_nash_equilibrium,
     random_host,
     realized_graph,
+    scale_with_nonterminals,
     sweep_ownership,
     two_terminal_ne,
 )
@@ -181,7 +188,7 @@ def test_sweep_indexes_its_target_once(monkeypatch):
         "validate",
         lambda s, host: validated.append(s) or real_validate(s, host),
     )
-    result = sweep_ownership(inst.host, target, Setting.GLOBAL, workers=1)
+    result = sweep_ownership(inst.host, target, Setting.GLOBAL)
     assert result.survivors == 768
     edges = frozenset(target.time_edges())
     # All 768 assignments share one index of the target. The other builds
@@ -250,55 +257,6 @@ def test_sweep_star_local_every_assignment_is_an_equilibrium():
         assert is_nash_equilibrium(profile, host).verdict is Verdict.EQUILIBRIUM
 
 
-def test_sweep_workers_merge_deterministically():
-    host = all_ones_host(["a", "b", "c", "v"])
-    target = star_target(host, "v")
-    serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
-    parallel = sweep_ownership(host, target, Setting.LOCAL, workers=2)
-    assert serial == parallel
-
-
-def serial_pool(log):
-    """A stand-in for ``ProcessPoolExecutor`` that runs each mapped task in
-    this process. It logs the pool size and each task's own arguments."""
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            log["started"].append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            tasks = list(zip(*iterables))
-            log["tasks"].extend(tasks)
-            return [fn(*task) for task in tasks]
-
-    return SerialPool
-
-
-def new_pool_log():
-    return {"started": [], "tasks": []}
-
-
-def test_sweep_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
-    log = new_pool_log()
-    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", serial_pool(log))
-    monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 2)
-    host = all_ones_host(["a", "b", "c", "d", "v"])
-    target = star_target(host, "v")
-    serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
-    assert log["started"] == []
-    assert serial.survivors == 16
-    # Two processes, so about four slices each, not one per survivor.
-    assert sweep_ownership(host, target, Setting.LOCAL, workers=10_000) == serial
-    assert log["started"] == [2]
-    assert log["tasks"] == [(start, 2) for start in range(0, 16, 2)]
-
-
 def sweep_cases():
     """(host, target, mode) triples whose sweeps have 13 survivor counts, from
     8 to 300: local stars on 4 to 7 nodes and global two-terminal equilibria."""
@@ -313,62 +271,61 @@ def sweep_cases():
     return cases
 
 
-def test_parallel_slices_tile_the_survivors_in_order(monkeypatch):
-    partial_last = 0
+def test_the_walk_matches_the_product_loop_on_every_sweep_case():
     counts = set()
     for host, target, mode in sweep_cases():
-        serial = sweep_ownership(host, target, mode, workers=1)
-        counts.add(serial.survivors)
-        for cpus in (2, 3, 4):
-            log = new_pool_log()
-            monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", serial_pool(log))
-            monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: cpus)
-            assert sweep_ownership(host, target, mode, workers=cpus) == serial
-            tasks = log["tasks"]
-            assert log["started"] == [min(cpus, len(tasks))]
-            # A task carries its slice bounds and no owner tuple.
-            assert all(type(x) is int for task in tasks for x in task)
-            ends = list(itertools.accumulate(size for _, size in tasks))
-            assert [start for start, _ in tasks] == [0, *ends[:-1]]
-            assert ends[-1] == serial.survivors
-            assert all(size > 0 for _, size in tasks)
-            partial_last += tasks[-1][1] < tasks[0][1]
+        result = sweep_ownership(host, target, mode)
+        assert result == oracle_sweep_product(host, target, mode)
+        counts.add(result.survivors)
     assert len(counts) == 13
-    assert min(counts) >= 4
-    assert partial_last > 0
 
 
-def test_one_cpu_starts_no_pool(monkeypatch):
-    class NoPool:
-        def __init__(self, max_workers):
-            raise AssertionError(f"a pool of {max_workers} started on one CPU")
-
-    monkeypatch.setattr(tempo_ncg.sweeps, "ProcessPoolExecutor", NoPool)
-    monkeypatch.setattr(tempo_ncg.sweeps.os, "cpu_count", lambda: 1)
-    host = all_ones_host(["a", "b", "c", "d", "v"])
-    target = star_target(host, "v")
-    serial = sweep_ownership(host, target, Setting.LOCAL, workers=1)
-    assert sweep_ownership(host, target, Setting.LOCAL, workers=4) == serial
+def scaled_c5_sweep():
+    """The realized graph of the one-edge two-terminal equilibrium scaled
+    with c = 5, and its host: 8,192 global survivors."""
+    host, profile = scale_with_nonterminals(*hypercube_equilibrium(1), 5)
+    return host, realized_graph(profile, host)
 
 
-def test_serial_sweep_streams_its_assignments(monkeypatch):
-    # The checker gets the per-edge owner choices and one slice over every
-    # survivor, and cuts the assignments from their lazy product itself.
-    handed = []
-    verify = tempo_ncg.sweeps._verify_chunk
+def test_the_walk_matches_the_product_loop_at_scale():
+    host, target = scaled_c5_sweep()
+    result = sweep_ownership(host, target, Setting.GLOBAL)
+    assert (result.survivors, result.equilibrium_count) == (8192, 512)
+    assert result == oracle_sweep_product(host, target, Setting.GLOBAL)
 
-    def spy(host, setting, edges, choices, start, size):
-        handed.append((choices, start, size))
-        return verify(host, setting, edges, choices, start, size)
 
-    monkeypatch.setattr(tempo_ncg.sweeps, "_verify_chunk", spy)
-    host = all_ones_host(["a", "b", "c", "d", "v"])
-    result = sweep_ownership(host, star_target(host, "v"), Setting.LOCAL, workers=1)
-    assert result.survivors == 16
-    assert len(handed) == 1
-    choices, start, size = handed[0]
-    assert (start, size) == (0, 16)
-    assert [len(choice) for choice in choices] == [2, 2, 2, 2]
+def test_the_walk_prunes_the_assignments_of_an_unstable_own_set(monkeypatch):
+    host, target = scaled_c5_sweep()
+    built = []
+    real = tempo_ncg.sweeps._profile_from_owners
+    monkeypatch.setattr(
+        tempo_ncg.sweeps,
+        "_profile_from_owners",
+        lambda *args: built.append(args) or real(*args),
+    )
+    result = sweep_ownership(host, target, Setting.GLOBAL)
+    assert result.survivors == 8192
+    # One profile per equilibrium and one per probe that decides a new own
+    # set, against one per survivor for the product loop.
+    assert result.equilibrium_count <= len(built) < result.survivors // 10
+
+
+def test_importing_the_package_starts_no_process_machinery():
+    # Sweeps run serially, so a fresh import loads no process pool.
+    src = str(Path(tempo_ncg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tempo_ncg; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "tempo_ncg.sweeps" in loaded
+    assert "multiprocessing" not in loaded
+    assert "concurrent.futures" not in loaded
 
 
 # -- whole-space search ------------------------------------------------------
