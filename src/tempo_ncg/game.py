@@ -14,7 +14,7 @@ Every check reads one index of a profile's realized graph: its label groups,
 the terminal bits, the bought edges, those that two or more agents buy and,
 once asked for, the reach masks that price every agent, the removal
 masks (:func:`core.removal_masks`) of the greedy remove check and the static
-bridges (:func:`core.static_bridges`) of the Nash check's one-edge buyers.
+bridges (:func:`core.static_bridges`) of the Nash check and the sweeps.
 Like a validation, it is memoized on the profile outside the fields, per host
 object, so equality and pickling ignore it and copies build their own; a move
 updates its parent's bought and shared edges by the one edge and regroups,
@@ -113,7 +113,8 @@ bridge carrying one label, ``v`` keeps exactly its reach mask on its own
 side. The bridge lemma: a temporal walk that crosses a bridge must come
 back over it at a label no earlier, so cutting out that excursion keeps the
 walk temporal. One depth-first pass finds a profile's bridges in O(n + m);
-any other loss is read from the removal masks.
+any other loss is read from the removal masks. The ``sweeps`` pre-filter
+reads the lemma too, for every node and bridge of a spanning target.
 """
 
 from __future__ import annotations

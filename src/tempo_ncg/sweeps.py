@@ -7,7 +7,9 @@ A sound pre-filter shrinks the space first: an owner that could drop its edge
 without losing a terminal always improves by doing so, so only assignments
 giving every edge to a node that needs it can be equilibria. Needing is a
 property of the target graph alone, so the filter is per-edge and the
-surviving space is a cartesian product.
+surviving space is a cartesian product. In a spanning target a node needs a
+static bridge exactly when its far side holds a terminal (the bridge lemma,
+``game`` docstring); only edges on a cycle read :func:`core.edge_needers`.
 
 Every surviving assignment realizes the same spanning target and gives each
 edge exactly one owner, chosen among that edge's needers, so the other
@@ -23,13 +25,14 @@ of buyer need no search at all:
 
 A sweep searches each ``(agent, S)`` pair with two or more edges in ``S``
 once, however many assignments share it. One index of the target, with no
-edge bought twice, serves every assignment, and none is validated on its
-own: the sweep checks the target's edges against the host, and each owner
-is an end of its edge (local) or a host node (global). One serial walk
-fixes the owner of one edge with two or more choices per level, decides an
-agent at the last such edge it may own (at the root if none) and cuts every
-assignment below an unstable set: backtracking with forward checking
-(Haralick and Elliott, Artificial Intelligence 14, 1980), in product order.
+edge bought twice, serves the whole sweep, its spanner check and pre-filter
+included, and no assignment is validated on its own: the sweep checks the
+target's edges against the host, and each owner is an end of its edge
+(local) or a host node (global). One serial walk fixes the owner of one edge
+with two or more choices per level, decides an agent at the last such edge
+it may own (at the root if none) and cuts every assignment below an unstable
+set: backtracking with forward checking (Haralick and Elliott, Artificial
+Intelligence 14, 1980), in product order.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .core import (
     TemporalGraph,
     TimeEdge,
     edge_needers,
-    is_terminal_spanner,
 )
 from .errors import InvalidPurchase, PreconditionFailed, SearchTooLarge
 from .game import (
@@ -90,23 +92,21 @@ def _verify_walk(
     setting: Setting,
     edges: tuple[TimeEdge, ...],
     choices: list[tuple[NodeId, ...]],
-) -> list[StrategyProfile]:
+    index: _RealizedIndex,
+) -> tuple[StrategyProfile, ...]:
     """The equilibria among the assignments of the owner ``choices``, in the
     order of their product (module docstring). Edges not yet branched on hold
     their first choice, so the profile probed at a node is its first leaf."""
-    index = _RealizedIndex.build(host, edges)
     owners = [choice[0] for choice in choices]
     branch = [i for i, choice in enumerate(choices) if len(choice) > 1]
-    may_own: dict[NodeId, list[int]] = {}
-    for i, choice in enumerate(choices):
-        for agent in choice:
-            may_own.setdefault(agent, []).append(i)
-    # due[depth]: the agents whose own sets the first ``depth`` branches fix.
-    level = {agent: depth for depth, i in enumerate(branch, 1) for agent in choices[i]}
+    # due[depth]: the agents in two or more choices that the first ``depth`` branches fix.
     due: list[list[tuple[NodeId, list[int]]]] = [[] for _ in range(len(branch) + 1)]
-    for agent, mine in may_own.items():
-        if len(mine) > 1:
-            due[level.get(agent, 0)].append((agent, mine))
+    if sum(map(len, choices)) > len(set().union(*choices)):
+        level = {agent: depth for depth, i in enumerate(branch, 1) for agent in choices[i]}
+        for agent in dict.fromkeys(x for choice in choices for x in choice):
+            mine = [i for i, choice in enumerate(choices) if agent in choice]
+            if len(mine) > 1:
+                due[level.get(agent, 0)].append((agent, mine))
     stable: dict[tuple, bool] = {}  # keyed (agent, *indices of its own set)
     found = []
     probe = None
@@ -145,7 +145,7 @@ def _verify_walk(
             owners[i] = choices[i][0]
             stack.pop()
         else:
-            return found
+            return tuple(found)
 
 
 def sweep_ownership(
@@ -157,8 +157,8 @@ def sweep_ownership(
 ) -> SweepResult:
     """Enumerate and exactly verify all ownerships of ``target``'s edges.
 
-    Equilibria come in product order from one serial walk (module
-    docstring). ``workers`` is ignored, kept for callers that still pass it.
+    Equilibria come in product order from one serial walk over one index of
+    the target (module docstring). ``workers`` is ignored, kept for old callers.
 
     Raises:
         PreconditionFailed: the target's nodes are not the host's, as they
@@ -173,20 +173,28 @@ def sweep_ownership(
         if not host.has_time_edge(edge):
             raise InvalidPurchase(f"target edge {edge} is not offered by the host")
     total = (2 if mode is Setting.LOCAL else host.node_count) ** len(edges)
-    if not is_terminal_spanner(target, host.terminals):
+    index = _RealizedIndex.build(host, edges)
+    full = index.full
+    if any(mask != full for mask in index.masks.values()):
         # Some node misses a terminal whoever owns the edges; nothing survives.
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
-    needers = edge_needers(target, host.terminals)
-    choices = [
-        tuple(filter(needers[e].__contains__, e.pair if mode is Setting.LOCAL else host.nodes))
-        for e in edges
-    ]
+    order, bridges = index.bridges
+    needers = None  # of the edges that close a cycle, swept at most once
+    choices = []
+    for e in edges:
+        who = e.pair if mode is Setting.LOCAL else host.nodes  # may buy e
+        if e.pair not in bridges:
+            needers = needers or edge_needers(target, host.terminals)
+            choices.append(tuple(filter(needers[e].__contains__, who)))
+            continue
+        lo, hi, sub = bridges[e.pair]  # its subtree: preorder span, terminals
+        choices.append(tuple([x for x in who if (full ^ sub if lo <= order[x] < hi else sub)]))
     survivors = math.prod(map(len, choices))
     if survivors == 0:
         return SweepResult(total_assignments=total, survivors=0, equilibria=())
     if budget is not None and survivors > budget:
         raise SearchTooLarge(f"{survivors} surviving assignments exceed {budget}")
-    return SweepResult(total, survivors, tuple(_verify_walk(host, mode, edges, choices)))
+    return SweepResult(total, survivors, _verify_walk(host, mode, edges, choices, index))
 
 
 def find_nash_by_search(

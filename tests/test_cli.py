@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -434,6 +435,40 @@ def test_sweep_checks_its_options_before_loading(runner, tmp_path):
     assert result.exit_code == 2
     assert "must be positive" in result.stderr
     assert "cannot load" not in result.stderr
+
+
+# Length and sha256 of the standard output of ``tempo-ncg sweep FIXTURE
+# --mode MODE``, as printed by the needer pre-filter that read removal masks
+# for every edge; the bridge lemma must leave every byte as it was.
+SWEEP_STDOUT = {
+    ("fig4", "local"): (
+        93, "dda2c39c89d42a1889fdbb8f0458fcfd905f33dc2da9ba40d563cb18558890b3"
+    ),
+    ("fig4", "global"): (
+        95, "2ac7344ba9889eabd7a242ce6fc317fc41315720e87bfb93b215303ec0263e13"
+    ),
+    ("fig5-left", "local"): (
+        93, "dda2c39c89d42a1889fdbb8f0458fcfd905f33dc2da9ba40d563cb18558890b3"
+    ),
+    ("fig5-left", "global"): (
+        500, "bbf56e50eaddcc691b581d589e798e51f555ed5590bda0bea48555fbd420ee17"
+    ),
+    ("fig5-right", "local"): (
+        3948, "390497b88d520e8e2ae2ec464b4b975ce220b10a4514a9045ea29c962bd56533"
+    ),
+    ("fig5-right", "global"): (
+        100, "1f6f8b2c7c8a347ac70e281f946817e877196651b248bc5c946310a2fc51da8c"
+    ),
+}
+
+
+@pytest.mark.parametrize("family, mode", sorted(SWEEP_STDOUT))
+def test_sweep_prints_the_pinned_bytes_for_each_fixture(runner, tmp_path, family, mode):
+    path = gen_file(runner, tmp_path, "fixture.json", family)
+    result = invoke(runner, "sweep", str(path), "--mode", mode)
+    assert result.exit_code == 0, result.stderr
+    out = result.stdout_bytes
+    assert (len(out), hashlib.sha256(out).hexdigest()) == SWEEP_STDOUT[family, mode]
 
 
 def test_sweep_has_no_workers_option(runner, tmp_path):

@@ -87,6 +87,7 @@ from tempo_ncg.core import (
     terminal_bits,
 )
 from tempo_ncg.game import (
+    _RealizedIndex,
     _grow_frame,
     _others_groups,
     _reached_bits,
@@ -494,6 +495,70 @@ def test_one_sweep_gives_equal_masks_over_index_pairs_and_id_pairs(case):
     assert bits == terminal_bits(graph.nodes, terminals)
 
 
+@st.composite
+def forests_with_terminals(draw):
+    """A random forest on 1 to 7 nodes, mostly a spanning tree, plus up to
+    two time edges more, which close a cycle or give a pair a second label,
+    and one or more of its nodes as terminals."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    nodes = tuple(f"n{i}" for i in range(n))
+    labels = st.integers(min_value=1, max_value=4)
+    edges = [
+        TimeEdge(nodes[draw(st.integers(0, i - 1))], nodes[i], draw(labels))
+        for i in range(1, n)
+        if draw(st.integers(0, 5))
+    ]
+    if n > 1:
+        for u, v in draw(st.lists(st.sampled_from(_pairs(nodes)), max_size=2)):
+            edges.append(TimeEdge(u, v, draw(labels)))
+    terminals = draw(st.sets(st.sampled_from(nodes), min_size=1))
+    return TemporalGraph(nodes, edges), sorted(terminals)
+
+
+# Pinned cases: every pair of the path and of the star is a bridge, the
+# cycle has none, and the pair with two labels is none either.
+_BRIDGE_EXAMPLES = {
+    "path": (
+        TemporalGraph("abcd", [TimeEdge("a", "b", 2), TimeEdge("b", "c", 1),
+                               TimeEdge("c", "d", 3)]),
+        ["a", "d"],
+    ),
+    "star": (
+        TemporalGraph("abcd", [TimeEdge("a", "c", 1), TimeEdge("b", "c", 2),
+                               TimeEdge("c", "d", 1)]),
+        ["a", "b", "d"],
+    ),
+    "cycle": (
+        TemporalGraph("abc", [TimeEdge("a", "b", 1), TimeEdge("b", "c", 2),
+                              TimeEdge("a", "c", 3)]),
+        ["a"],
+    ),
+    "two-label": (
+        TemporalGraph("abc", [TimeEdge("a", "b", 1), TimeEdge("a", "b", 2),
+                              TimeEdge("b", "c", 3)]),
+        ["a", "c"],
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@example(_BRIDGE_EXAMPLES["path"])
+@example(_BRIDGE_EXAMPLES["star"])
+@example(_BRIDGE_EXAMPLES["cycle"])
+@example(_BRIDGE_EXAMPLES["two-label"])
+@given(forests_with_terminals() | graphs_with_terminals().filter(lambda case: case[1]))
+def test_a_bridged_loss_is_the_removal_mask_loss(case):
+    """The bridge lemma (``game`` module docstring), which the Nash check
+    and the sweep pre-filter read for every node: on any graph, spanner or
+    not, every node loses the same terminals with either reading."""
+    graph, terminals = case
+    host = HostGraph(graph=graph, terminals=terminals)
+    index = _RealizedIndex.build(host, list(graph.time_edges()))
+    for e in graph.time_edges():
+        for x in graph.nodes:
+            assert index.lost(x, e, bridged=True) == index.lost(x, e)
+
+
 @given(hosts(max_n=5, max_label=2) | hosts(max_n=6, max_label=4))
 def test_mono_label_tree_is_the_canonical_tree_of_a_spanning_label(host):
     assert mono_label_spanning_tree(host) == oracle_mono_label_tree(host)
@@ -755,9 +820,13 @@ def sweep_cases(draw):
     """A small host, a setting and a target realized graph: from
     ``two_terminal_ne``, from the direct-terminal profile, or a random
     minimal spanner (grown from shuffled host edges, then pruned in another
-    random order), sometimes with one unneeded edge more."""
-    n = draw(st.integers(min_value=2, max_value=6))
-    kind = draw(st.sampled_from(["two-terminal", "direct", "random-spanning"]))
+    random order), sometimes with one unneeded edge more ("random-spanning")
+    or always with one to three ("random-cyclic"), so that pairs which
+    close a cycle mix with static bridges."""
+    kinds = ["two-terminal", "direct", "random-spanning", "random-cyclic"]
+    kind = draw(st.sampled_from(kinds))
+    # Below four nodes, extra edges rarely leave a bridge beside a cycle.
+    n = draw(st.integers(min_value=4 if kind == "random-cyclic" else 2, max_value=6))
     k = 2 if kind == "two-terminal" else draw(st.integers(min_value=1, max_value=n))
     max_label = draw(st.sampled_from([2, 3, None]))
     host = random_host(n, k, draw(st.integers(0, 10_000)), max_label=max_label)
@@ -777,7 +846,7 @@ def sweep_cases(draw):
         rest = [x for x in edges if x != e]
         if spans(rest):
             edges = rest
-    extra = draw(st.integers(min_value=0, max_value=1))
+    extra = draw(st.integers(1, 3) if kind == "random-cyclic" else st.integers(0, 1))
     return host, TemporalGraph(host.nodes, [*edges, *pool[size : size + extra]]), mode
 
 

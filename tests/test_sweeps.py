@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tempo_ncg
+import tempo_ncg.core
 import tempo_ncg.game
 import tempo_ncg.sweeps
 from oracles import oracle_sweep_product
@@ -197,6 +198,47 @@ def test_sweep_indexes_its_target_once(monkeypatch):
     assert grouped.count(edges) == 1
     assert len(grouped) - 1 == len(validated) > 0
     assert all(profile.bought_edges() != edges for profile in validated)
+
+
+def record_calls(monkeypatch, function):
+    """Wrap ``function`` in every ``tempo_ncg`` module that binds it; the
+    returned list gains one entry per call."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tempo_ncg" or name.startswith("tempo_ncg."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
+def test_a_tree_target_is_filtered_by_the_bridge_lemma_alone(monkeypatch):
+    host = random_host(7, 2, 3)
+    target = realized_graph(two_terminal_ne(host, Setting.LOCAL), host)
+    assert len(list(target.time_edges())) == host.node_count - 1  # a spanning tree
+    needers = record_calls(monkeypatch, tempo_ncg.core.edge_needers)
+    removals = record_calls(monkeypatch, tempo_ncg.core.removal_masks)
+    spanner_checks = record_calls(monkeypatch, tempo_ncg.core.is_terminal_spanner)
+    result = sweep_ownership(host, target, Setting.LOCAL)
+    assert result.survivors == result.equilibrium_count == 2
+    assert needers == removals == spanner_checks == []
+
+
+@pytest.mark.parametrize("mode", list(Setting))
+def test_a_target_without_bridges_takes_its_needers_from_one_call(monkeypatch, mode):
+    inst = fig5_right_instance()
+    target = realized_graph(inst.profile, inst.host)
+    needers = record_calls(monkeypatch, tempo_ncg.core.edge_needers)
+    spanner_checks = record_calls(monkeypatch, tempo_ncg.core.is_terminal_spanner)
+    result = sweep_ownership(inst.host, target, mode)
+    assert result.survivors > 0
+    assert len(needers) == 1
+    assert spanner_checks == []
 
 
 # -- short circuits and errors ----------------------------------------------
