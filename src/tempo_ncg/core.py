@@ -134,11 +134,11 @@ class TemporalGraph:
     __slots__ = ("_nodes", "_node_set", "_labels", "_groups", "_hash")
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[TimeEdge] = ()) -> None:
-        node_tuple = tuple(sorted(set(nodes)))
-        for node in node_tuple:
+        node_set = frozenset(nodes)
+        for node in node_set:  # before sorting, which fails on mixed types
             if not isinstance(node, str) or not node:
                 raise UnknownNode(f"node ids must be nonempty strings, got {node!r}")
-        node_set = frozenset(node_tuple)
+        node_tuple = tuple(sorted(node_set))
         by_pair: dict[tuple[NodeId, NodeId], set[int]] = {}
         for edge in edges:
             if edge.u not in node_set or edge.v not in node_set:
@@ -298,10 +298,6 @@ class HostGraph:
     def sorted_time_edges(self) -> tuple[TimeEdge, ...]:
         """All host time edges in canonical order."""
         return tuple(self.graph.time_edges())
-
-    def __getstate__(self) -> dict:
-        # Pickle the fields only, never the cached properties.
-        return {"graph": self.graph, "terminals": self.terminals}
 
     @functools.cached_property
     def lifetime(self) -> int:

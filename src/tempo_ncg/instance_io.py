@@ -22,12 +22,13 @@ graph is built from the checked pairs by the trusted
 ``TemporalGraph._from_labels``.
 
 Emit writes the canonical text directly, in one pass over the graph's pair
-map and the sorted strategies: the exact bytes of ``json.dumps`` with
-``indent=2`` on :func:`instance_to_dict`, which stays the public dict form.
-With ``indent`` set, ``json.dumps`` never uses its C encoder and walks the
-dict one value at a time in Python, so it was most of the cost of writing
-an instance. The writer calls the same string escaper and int formatter,
-and formats each distinct label list once.
+map and the sorted strategies: the exact bytes ``json.dumps`` writes with
+``indent=2`` and ``ensure_ascii=False`` for the canonical dict. With
+``indent`` set, ``json.dumps`` never uses its C encoder and walks the dict
+one value at a time in Python, so it was most of the cost of writing an
+instance. The writer calls the same string escaper and int formatter, and
+formats each distinct label list once. It is the only writer of the format:
+:func:`instance_to_dict`, the public dict form, parses its text back.
 """
 
 from __future__ import annotations
@@ -84,33 +85,7 @@ def _check_fields(name: object, source: object, default_label: object) -> None:
 
 def instance_to_dict(instance: InstanceFile) -> dict:
     """Canonical dict form of an instance (stable key order throughout)."""
-    graph = instance.host.graph
-    edges: dict[str, list[int]] = {}
-    for u, v in graph.pairs():
-        labels = list(graph.labels(u, v))
-        if instance.default_label is not None and labels == [instance.default_label]:
-            continue
-        edges[f"{u}{PAIR_SEPARATOR}{v}"] = labels  # pairs are canonical: u < v
-    data: dict = {"v": SCHEMA_VERSION, "name": instance.name}
-    if instance.source is not None:
-        data["source"] = instance.source
-    host: dict = {
-        "nodes": list(instance.host.nodes),
-        "terminals": list(instance.host.terminals),
-        "edges": edges,
-    }
-    if instance.default_label is not None:
-        host["default_label"] = instance.default_label
-    data["host"] = host
-    if instance.profile is not None:
-        data["profile"] = {
-            "setting": instance.profile.setting.value,
-            "strategies": {
-                agent: [[e.u, e.v, e.label] for e in sorted(bought)]
-                for agent, bought in instance.profile.strategies.items()
-            },
-        }
-    return data
+    return json.loads(dumps_instance(instance))
 
 
 def instance_from_dict(data: dict) -> InstanceFile:
@@ -260,8 +235,9 @@ def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
 
 
 def dumps_instance(instance: InstanceFile) -> str:
-    """The text of ``json.dumps(instance_to_dict(instance), indent=2,
-    ensure_ascii=False)`` and a newline, written straight from the instance."""
+    """The canonical text of an instance and a newline: the bytes of
+    ``json.dumps(data, indent=2, ensure_ascii=False)`` for its canonical dict
+    ``data``, written straight from the instance."""
     host = instance.host
     by_pair = host.graph._labels
     default = (instance.default_label,)

@@ -6,7 +6,7 @@ enumeration over the candidate edge pool. These deliberately avoid the
 production code paths (the label-sweep propagation, the DFS deviation
 search) so that agreement between the two is meaningful.
 
-Thirteen references are earlier versions of a library routine, kept so a
+Fourteen references are earlier versions of a library routine, kept so a
 faster or flatter rewrite can be checked against them exactly: the
 restart-loop prune, the one-sweep-per-edge prune, the plain subset loop of
 the spanner search, the recursive deviation search and the per-edge greedy
@@ -15,9 +15,10 @@ verifies every assignment in full, the product loop of the ownership sweep
 that searches each owner once per own set and the Nash check that searches
 every buyer (both with the library's deviation search), the nested-loop
 forbidden-structure scan, the recursive increasing-path walk of the
-dense-cycle checks, the instance writer that hands the canonical dict to
-``json.dumps``, the instance parser that reads the edge object one key at a
-time and the random host built from one checked time edge per label.
+dense-cycle checks, the field-by-field builder of the canonical instance
+dict, the instance writer that hands that dict to ``json.dumps``, the
+instance parser that reads the edge object one key at a time and the random
+host built from one checked time edge per label.
 
 ``call_under_a_low_recursion_limit`` is no reference: it runs a library call
 where a search that recurses once per step would fail.
@@ -52,7 +53,6 @@ from tempo_ncg import (
     edge_needers,
     equilibrium_certificates,
     find_improving_response,
-    instance_to_dict,
     is_nash_equilibrium,
     is_terminal_spanner,
     necessary_terminals,
@@ -657,9 +657,41 @@ def oracle_find_forbidden_structure(s, host, necessary_fn=None):
     return None
 
 
+def oracle_instance_to_dict(instance: InstanceFile) -> dict:
+    """Canonical dict form of an instance (stable key order throughout),
+    built field by field."""
+    graph = instance.host.graph
+    edges: dict[str, list[int]] = {}
+    for u, v in graph.pairs():
+        labels = list(graph.labels(u, v))
+        if instance.default_label is not None and labels == [instance.default_label]:
+            continue
+        edges[f"{u}{PAIR_SEPARATOR}{v}"] = labels  # pairs are canonical: u < v
+    data: dict = {"v": SCHEMA_VERSION, "name": instance.name}
+    if instance.source is not None:
+        data["source"] = instance.source
+    host: dict = {
+        "nodes": list(instance.host.nodes),
+        "terminals": list(instance.host.terminals),
+        "edges": edges,
+    }
+    if instance.default_label is not None:
+        host["default_label"] = instance.default_label
+    data["host"] = host
+    if instance.profile is not None:
+        data["profile"] = {
+            "setting": instance.profile.setting.value,
+            "strategies": {
+                agent: [[e.u, e.v, e.label] for e in sorted(bought)]
+                for agent, bought in instance.profile.strategies.items()
+            },
+        }
+    return data
+
+
 def oracle_dumps_instance(instance):
     """The instance text as the JSON encoder writes the canonical dict."""
-    return json.dumps(instance_to_dict(instance), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(oracle_instance_to_dict(instance), indent=2, ensure_ascii=False) + "\n"
 
 
 def oracle_instance_from_dict(data: dict) -> InstanceFile:

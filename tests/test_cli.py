@@ -302,6 +302,19 @@ def test_verify_malformed_file_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["verify"], ["sweep", "--mode", "local"], ["poa"], ["gen", "scale", "--c", "2", "--instance"]],
+    ids=["verify", "sweep-local", "poa", "gen-scale"],
+)
+def test_an_instance_without_a_profile_exits_2(runner, tmp_path, command):
+    path = tmp_path / "bare.json"
+    save_instance(InstanceFile("bare", get_fixture("fig4").host), path)
+    result = invoke(runner, *command, str(path))
+    assert result.exit_code == 2
+    assert result.stderr == "error: instance 'bare' carries no profile\n"
+
+
+@pytest.mark.parametrize(
     "path, value",
     [(("host", "default_label"), True), (("v",), True), (("source",), 7)],
     ids=["default-label-true", "version-true", "source-int"],

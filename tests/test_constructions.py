@@ -522,6 +522,21 @@ def test_dense_cycle_rejects_odd_or_tiny_x():
         dense_cycle_instance(0)
 
 
+@pytest.mark.parametrize(
+    "x, bag, pair, message",
+    [
+        (3, 0, 0, "x must be even"),
+        (4, 8, 0, "bag 8 out of range"),
+        (4, -1, 0, "bag -1 out of range"),
+        (4, 0, 2, "pair 2 out of range"),
+        (4, 0, -1, "pair -1 out of range"),
+    ],
+)
+def test_dense_cycle_params_reject_out_of_range_coordinates(x, bag, pair, message):
+    with pytest.raises(PreconditionFailed, match=message):
+        DenseCycleParams(x, bag, pair, primed=False)
+
+
 def test_dense_cycle_refuses_two_cycle_edges_with_one_label_at_a_node(monkeypatch):
     build = constructions._dense_cycle_graphs
 

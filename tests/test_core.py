@@ -1,4 +1,5 @@
 import ast
+import pickle
 import types
 from pathlib import Path
 
@@ -128,6 +129,16 @@ def test_temporal_graph_merges_duplicate_labels():
 def test_temporal_graph_rejects_foreign_edge_endpoints():
     with pytest.raises(UnknownNode):
         TemporalGraph(["a", "b"], [edge("a", "c", 1)])
+    with pytest.raises(UnknownNode):
+        TemporalGraph(["a", "b"]).labels("a", "c")
+
+
+@pytest.mark.parametrize(
+    "nodes", [["a", 1], ["a", None], [1, 2], ["a", ""]], ids=["int", "none", "ints", "empty"]
+)
+def test_temporal_graph_rejects_ids_that_are_not_nonempty_strings(nodes):
+    with pytest.raises(UnknownNode, match="node ids must be nonempty strings"):
+        TemporalGraph(nodes)
 
 
 def test_with_and_without_time_edge():
@@ -138,6 +149,8 @@ def test_with_and_without_time_edge():
     g3 = g2.without_time_edge(edge("b", "c", 2))
     assert g3 == g
     assert hash(g3) == hash(g)
+    with pytest.raises(UnknownNode):
+        g.without_time_edge(edge("b", "c", 2))
 
 
 def test_relabel_nodes_keeps_structure():
@@ -192,6 +205,14 @@ def test_host_min_label_and_terminal_set():
     assert host.terminal_set == frozenset({"v1", "v2", "v3", "v4"})
     with pytest.raises(IncompleteHost):
         host.min_label("v1", "v1")
+
+
+def test_host_pickles_after_its_cached_properties_are_computed():
+    host = fig4_instance().host
+    cached = (host.terminal_set, host.sorted_time_edges, host.lifetime)
+    again = pickle.loads(pickle.dumps(host))
+    assert again == host
+    assert (again.terminal_set, again.sorted_time_edges, again.lifetime) == cached
 
 
 # --- earliest arrivals ------------------------------------------------------

@@ -93,6 +93,11 @@ def test_fixture_round_trips(name):
     assert dumps_instance(back) == dumps_instance(inst)
 
 
+def test_an_unknown_fixture_name_raises_key_error():
+    with pytest.raises(KeyError, match="unknown fixture 'nope'; available: "):
+        get_fixture("nope")
+
+
 def test_generated_instances_round_trip():
     host, s = hypercube_equilibrium(2)
     inst = InstanceFile(name="square", host=host, profile=s)

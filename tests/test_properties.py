@@ -21,6 +21,7 @@ from oracles import (
     oracle_greedy_improving_response,
     oracle_greedy_witness,
     oracle_instance_from_dict,
+    oracle_instance_to_dict,
     oracle_is_ge,
     oracle_is_nash_equilibrium,
     oracle_is_minimal_spanner,
@@ -59,6 +60,7 @@ from tempo_ncg import (
     graph_product,
     greedy_dynamics,
     greedy_improving_response,
+    hypercube_equilibrium,
     instance_from_dict,
     instance_to_dict,
     is_greedy_equilibrium,
@@ -73,6 +75,8 @@ from tempo_ncg import (
     random_host,
     reach_set,
     realized_graph,
+    relabel_instance,
+    scale_with_nonterminals,
     sweep_ownership,
     two_terminal_ne,
     validate_and_normalize_host,
@@ -743,6 +747,7 @@ def written_instances(draw):
 def test_the_writer_matches_the_json_encoder(inst):
     text = dumps_instance(inst)
     assert text == oracle_dumps_instance(inst)
+    assert instance_to_dict(inst) == oracle_instance_to_dict(inst)
     assert dumps_instance(loads_instance(text)) == text
 
 
@@ -822,9 +827,18 @@ def sweep_cases(draw):
     minimal spanner (grown from shuffled host edges, then pruned in another
     random order), sometimes with one unneeded edge more ("random-spanning")
     or always with one to three ("random-cyclic"), so that pairs which
-    close a cycle mix with static bridges."""
-    kinds = ["two-terminal", "direct", "random-spanning", "random-cyclic"]
+    close a cycle mix with static bridges; or the one-edge equilibrium
+    scaled by 2 or 3 with its nodes renamed in a drawn order, which moves
+    its edges in the walk ("scaled-hypercube"): its 4 to 128 survivors
+    leave owners of two edges to search below the walk's first level."""
+    kinds = ["two-terminal", "direct", "random-spanning", "random-cyclic", "scaled-hypercube"]
     kind = draw(st.sampled_from(kinds))
+    if kind == "scaled-hypercube":
+        c = draw(st.sampled_from([2, 3]))
+        host, profile = scale_with_nonterminals(*hypercube_equilibrium(1), c)
+        names = dict(zip(host.nodes, draw(st.permutations(host.nodes))))
+        host, profile = relabel_instance(host, profile, names)
+        return host, realized_graph(profile, host), draw(st.sampled_from(list(Setting)))
     # Below four nodes, extra edges rarely leave a bridge beside a cycle.
     n = draw(st.integers(min_value=4 if kind == "random-cyclic" else 2, max_value=6))
     k = 2 if kind == "two-terminal" else draw(st.integers(min_value=1, max_value=n))
